@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test property integration chaos bench bench-guard guard-gate bench-compile compile-gate bench-latency latency-gate bench-churn churn-gate churn-replay bench-federation experiments quick examples metrics verify-fuzz clean
+.PHONY: install test property integration chaos bench bench-guard guard-gate bench-compile compile-gate bench-latency latency-gate bench-churn churn-gate churn-replay bench-federation bench-loop experiments quick examples metrics verify-fuzz clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -53,6 +53,11 @@ churn-replay:
 	PYTHONPATH=src REPRO_RUNTIME=eventloop $(PYTHON) -m repro.workloads \
 		--fixture ixp_small --scenario failover-storm --scenario stuck-routes \
 		--scenario correlated-withdrawal
+
+# One untraced pass of one control-loop benchmark workload (BENCHMARK.json
+# names them): make bench-loop WORKLOAD=policy-dense
+bench-loop:
+	python3 bench/run.py --workload $(WORKLOAD)
 
 experiments:
 	$(PYTHON) -m repro.experiments all

@@ -249,7 +249,7 @@ class FastPathEngine:
                 continue
             if not is_base_cookie(rule.cookie):
                 continue
-            tag = rule.match.constraints.get("dstmac")
+            tag = rule.match.constraint("dstmac")
             if isinstance(tag, MACMask) and not tag.is_exact:
                 matched = [vmac for vmac in tag_classes if tag.matches(vmac)]
                 if changed_tags.isdisjoint(matched):
@@ -363,6 +363,7 @@ class FastPathEngine:
         # Stage 1: participant policy fragments mentioning this prefix,
         # then the per-group default rules.
         stage1_rules: List[Rule] = []
+        participant_names = frozenset(config.participant_names())
         for participant in config.participants():
             if participant.is_remote:
                 continue
@@ -371,12 +372,11 @@ class FastPathEngine:
                 continue
             loc_rib = controller.route_server.loc_rib(participant.name)
             feasible = loc_rib.feasible_next_hops(prefix)
-            participant_names = frozenset(config.participant_names())
             fragment: List[Rule] = []
             for rule in raw.rules:
                 if rule.is_drop:
                     continue
-                constraint = rule.match.constraints.get("dstip")
+                constraint = rule.match.constraint("dstip")
                 if constraint is not None and not constraint.overlaps(prefix):
                     continue
                 # Participant targets require BGP feasibility; chain and

@@ -539,7 +539,7 @@ def vmacify_outbound_superset(
             continue
         action = virtual_actions[0]
         target = action.output_port
-        constraint = rule.match.constraints.get("dstip")
+        constraint = rule.match.constraint("dstip")
         eligible = reachable(target)
         if constraint is not None:
             eligible = frozenset(

@@ -91,7 +91,7 @@ def extract_policy_groups(
     """
     groups: Dict[FrozenSet[IPv4Prefix], None] = {}
     for rule in classifier.rules:
-        constraint = rule.match.constraints.get("dstip")
+        constraint = rule.match.constraint("dstip")
         for action in rule.actions:
             target = action.output_port
             if target not in participants:
@@ -148,7 +148,7 @@ def vmacify_outbound(
         if not virtual_actions:
             rewritten.append(rule)
             continue
-        constraint = rule.match.constraints.get("dstip")
+        constraint = rule.match.constraint("dstip")
         groups_for_action: Dict[Action, List[PrefixGroup]] = {}
         ordered_groups: Dict[int, PrefixGroup] = {}
         for action in virtual_actions:

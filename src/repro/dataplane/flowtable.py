@@ -97,7 +97,8 @@ class FlowRule:
     def identity(self) -> Tuple[str, str, Tuple[str, ...], int, str]:
         """Stable identity: (cookie, match, actions, table, goto).
 
-        This is what the delta reconciler keys on: a rule whose identity
+        This is the delta reconciler's notion of sameness (it buckets on
+        the values these strings render): a rule whose identity
         survives a recompilation is the *same* rule (its counters must
         survive), even when the priority tiling around it shifted — but
         priority is excluded: it is an attribute, not identity.  The
@@ -172,15 +173,28 @@ class FlowTable:
         Among equal priorities, earlier-installed rules match first,
         mirroring hardware behaviour.
         """
-        index = len(self._rules)
-        for position, existing in enumerate(self._rules):
-            if existing.priority < rule.priority:
-                index = position
-                break
-        self._rules.insert(index, rule)
+        self._rules.insert(self._slot(rule.priority), rule)
         self._port_candidates.clear()
         self._count_churn(installed=1)
         return rule
+
+    def _slot(self, priority: int) -> int:
+        """Where a rule of ``priority`` goes: after every rule ≥ it.
+
+        ``_rules`` is always sorted by descending priority with equal
+        priorities in arrival order, so this is a binary search.  It
+        reads ``rule.priority`` live rather than from a cached key list
+        because a transaction rollback rewrites priorities in place.
+        """
+        rules = self._rules
+        low, high = 0, len(rules)
+        while low < high:
+            middle = (low + high) // 2
+            if rules[middle].priority >= priority:
+                low = middle + 1
+            else:
+                high = middle
+        return low
 
     def install_classifier(
         self,
@@ -231,12 +245,7 @@ class FlowTable:
         """
         self._rules.remove(rule)
         rule.priority = int(priority)
-        index = len(self._rules)
-        for position, existing in enumerate(self._rules):
-            if existing.priority < rule.priority:
-                index = position
-                break
-        self._rules.insert(index, rule)
+        self._rules.insert(self._slot(rule.priority), rule)
         self._port_candidates.clear()
         return rule
 

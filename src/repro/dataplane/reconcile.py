@@ -75,6 +75,7 @@ BASE_COOKIE = "sdx-base"
 BASE_PRIORITY = 1000
 
 RuleIdentity = Tuple[str, str, Tuple[str, ...], int, str]
+IdentityKey = Tuple[Any, HeaderMatch, FrozenSet[Action], int, Optional[int]]
 
 #: Segment placement in the multi-table layout: label -> (table, goto).
 Placement = Tuple[int, Optional[int]]
@@ -205,6 +206,11 @@ class TablePatch:
         )
 
 
+def _identity_key(entry: "FlowRule | RuleSpec") -> IdentityKey:
+    """The hashable values behind ``entry.identity``, priority excluded."""
+    return (entry.cookie, entry.match, entry.actions, entry.table, entry.goto)
+
+
 def diff(current: Iterable[FlowRule], target: Iterable[RuleSpec]) -> TablePatch:
     """Compute the minimal patch from installed rules to desired specs.
 
@@ -212,13 +218,18 @@ def diff(current: Iterable[FlowRule], target: Iterable[RuleSpec]) -> TablePatch:
     then leftover installed rules pair with leftover specs in priority
     order (reprioritize), and only the unmatched tails become removes
     and adds.  Deterministic for any input order.
+
+    Buckets are keyed on the identity *values* (see :func:`_identity_key`),
+    which partition rules exactly as the ``identity`` properties'
+    canonical strings do without rendering five ``repr()`` per rule on
+    every commit.
     """
-    current_by_id: Dict[RuleIdentity, List[FlowRule]] = {}
+    current_by_id: Dict[IdentityKey, List[FlowRule]] = {}
     for rule in current:
-        current_by_id.setdefault(rule.identity, []).append(rule)
-    target_by_id: Dict[RuleIdentity, List[RuleSpec]] = {}
+        current_by_id.setdefault(_identity_key(rule), []).append(rule)
+    target_by_id: Dict[IdentityKey, List[RuleSpec]] = {}
     for spec in target:
-        target_by_id.setdefault(spec.identity, []).append(spec)
+        target_by_id.setdefault(_identity_key(spec), []).append(spec)
 
     adds: List[RuleSpec] = []
     removes: List[FlowRule] = []

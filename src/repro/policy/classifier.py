@@ -24,6 +24,7 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Union,
 )
 
 from repro.netutils.fields import (
@@ -34,6 +35,7 @@ from repro.netutils.fields import (
     normalize_packet_value,
     value_satisfies_match,
 )
+from repro.netutils.mac import MACMask
 from repro.policy.packet import Packet
 
 __all__ = ["Action", "Classifier", "HeaderMatch", "Rule", "sequence_rule"]
@@ -275,6 +277,78 @@ class Rule:
         return f"Rule({self.match!r} -> [{acts}])"
 
 
+_IP_FIELDS = frozenset({"srcip", "dstip"})
+
+
+class _PrefixShadowIndex:
+    """Coverage index over matches sharing one IP-bearing field set.
+
+    Answers "does any added match cover this one?" for
+    :meth:`Classifier.optimized` without scanning the added matches.  An
+    added match covers a later one iff its exact fields are equal and
+    each of its prefixes contains the later one's, so matches are stored
+    under (exact values) → (prefix lengths) → (the prefixes); a probe is
+    one lookup on the exact values, then one per length combination
+    stored under them, with the later match's prefixes truncated to
+    those lengths.
+
+    A :class:`MACMask` value covers by bit mask, not by equality, so
+    matches carrying one stay on ``masked`` and are tested with
+    :meth:`HeaderMatch.covers`.  Only the superset VMAC encoding
+    produces them, and only its policy rules that also constrain an IP
+    field land here.
+
+    The fast path builds one of these per field set of every ~16-rule
+    classifier it compiles, so ``add`` and ``covers`` avoid generator
+    frames; construction cost, not lookup, is what shows there.
+    """
+
+    __slots__ = ("exact_fields", "ip_fields", "entries", "masked")
+
+    def __init__(self, fields: FrozenSet[str]) -> None:
+        self.ip_fields = tuple(fields & _IP_FIELDS)
+        self.exact_fields = tuple(fields - _IP_FIELDS)
+        self.entries: Dict[Tuple[Any, ...], Dict[Tuple[int, ...], set]] = {}
+        self.masked: List[HeaderMatch] = []
+
+    def add(self, match: HeaderMatch) -> None:
+        constraints = match._constraints
+        exact = tuple([constraints[field] for field in self.exact_fields])
+        if MACMask in map(type, exact):
+            self.masked.append(match)
+            return
+        prefixes = tuple([constraints[field] for field in self.ip_fields])
+        lengths = tuple([prefix.length for prefix in prefixes])
+        by_lengths = self.entries.get(exact)
+        if by_lengths is None:
+            by_lengths = self.entries[exact] = {}
+        stored = by_lengths.get(lengths)
+        if stored is None:
+            by_lengths[lengths] = {prefixes}
+        else:
+            stored.add(prefixes)
+
+    def covers(self, match: HeaderMatch) -> bool:
+        """True when some added match covers ``match`` (a superset of this
+        index's fields)."""
+        constraints = match._constraints
+        by_lengths = self.entries.get(
+            tuple([constraints[field] for field in self.exact_fields])
+        )
+        if by_lengths:
+            prefixes = [constraints[field] for field in self.ip_fields]
+            for lengths, stored in by_lengths.items():
+                truncated = []
+                for length, prefix in zip(lengths, prefixes):
+                    if length > prefix.length:
+                        break
+                    truncated.append(prefix.supernet(length))
+                else:
+                    if tuple(truncated) in stored:
+                        return True
+        return any(earlier.covers(match) for earlier in self.masked)
+
+
 class Classifier:
     """An ordered rule list with Pyretic composition semantics.
 
@@ -335,9 +409,6 @@ class Classifier:
 
     # -- optimization ---------------------------------------------------
 
-    #: Per-bucket cap on the linear coverage scan for IP-bearing matches.
-    SHADOW_SCAN_LIMIT = 4000
-
     def optimized(self) -> "Classifier":
         """Remove rules that can never fire (single-rule shadow elimination).
 
@@ -350,47 +421,44 @@ class Classifier:
         match can only cover a later one when its fields are a subset of
         the later match's fields.  Within a bucket whose fields all
         compare exactly (no CIDR prefixes), coverage degenerates to
-        equality of the later match's restriction — a hash lookup — so
-        the pass is near-linear on the classifiers the SDX compiler
-        produces.  Buckets containing IP-prefix constraints fall back to
-        a linear scan, capped by :data:`SHADOW_SCAN_LIMIT` (skipping the
-        check is sound; it only leaves dead rules in place).
+        equality of the later match's restriction — a hash lookup.
+        Buckets constraining ``srcip``/``dstip`` keep a
+        :class:`_PrefixShadowIndex`: the exact fields are one hash
+        lookup and each IP field is probed once per prefix length the
+        bucket holds, so the pass stays near-linear whatever the table
+        size and every dead rule is found.
         """
         kept: List[Rule] = []
-        # field-set -> (hash set of matches, bucket has ip-prefix fields,
-        #               insertion-ordered matches for the scan fallback)
-        buckets: Dict[FrozenSet[str], Tuple[set, bool, List[HeaderMatch]]] = {}
+        # field-set -> hash set of matches (exact-only fields) or a
+        #              prefix index (the set constrains an IP field)
+        buckets: Dict[FrozenSet[str], Union[set, _PrefixShadowIndex]] = {}
         for rule in self.rules:
             match = rule.match
             fields = match.fields()
             covered = False
-            for bucket_fields, (matches_set, has_ip, matches_list) in buckets.items():
+            for bucket_fields, bucket in buckets.items():
                 if not bucket_fields <= fields:
                     continue
-                if not has_ip:
-                    if bucket_fields == fields:
-                        probe = match
-                    else:
-                        constraints = match.constraints
-                        probe = HeaderMatch(
-                            {field: constraints[field] for field in bucket_fields}
-                        )
-                    if probe in matches_set:
-                        covered = True
-                        break
-                elif len(matches_list) <= self.SHADOW_SCAN_LIMIT:
-                    if any(earlier.covers(match) for earlier in matches_list):
-                        covered = True
-                        break
+                if isinstance(bucket, _PrefixShadowIndex):
+                    covered = bucket.covers(match)
+                elif bucket_fields == fields:
+                    covered = match in bucket
+                else:
+                    constraints = match._constraints
+                    probe = HeaderMatch(
+                        {field: constraints[field] for field in bucket_fields}
+                    )
+                    covered = probe in bucket
+                if covered:
+                    break
             if covered:
                 continue
             kept.append(rule)
             bucket = buckets.get(fields)
             if bucket is None:
-                bucket = (set(), bool(fields & {"srcip", "dstip"}), [])
+                bucket = _PrefixShadowIndex(fields) if fields & _IP_FIELDS else set()
                 buckets[fields] = bucket
-            bucket[0].add(match)
-            bucket[2].append(match)
+            bucket.add(match)
         # Trailing drop rules are implicit (no-match means drop).
         while kept and kept[-1].is_drop and kept[-1].match.is_universal:
             kept.pop()

@@ -13,13 +13,23 @@ claims at every commit point.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import SDXController
 from repro.core.participant import SDXPolicySet
 from repro.dataplane.flowtable import FlowRule, FlowTable
-from repro.dataplane.reconcile import is_base_cookie, target_specs
+from repro.dataplane.reconcile import (
+    BASE_COOKIE,
+    RuleSpec,
+    TablePatch,
+    diff,
+    is_base_cookie,
+    target_specs,
+)
 from repro.experiments.common import build_scenario
+from repro.netutils.mac import MACMask
 from repro.pipeline import ParallelBackend, SerialBackend
+from repro.policy.classifier import Action, HeaderMatch
 from repro.workloads.policy_gen import generate_policies
 from repro.workloads.update_gen import generate_update_trace
 
@@ -154,3 +164,85 @@ def test_clearing_policies_reconciles_to_reduced_table():
     assert report.retained + report.reprioritized > 0
     assert len(_base_rules(controller)) <= before_total
     _assert_digest_identical(controller)
+
+
+# -- the diff's bucketing key ---------------------------------------------
+
+
+def _diff_on_identity(current, target) -> TablePatch:
+    """``reconcile.diff`` bucketing on the ``identity`` strings — the
+    definition of "same rule" that the value-keyed buckets must keep."""
+    current_by_id = {}
+    for rule in current:
+        current_by_id.setdefault(rule.identity, []).append(rule)
+    target_by_id = {}
+    for spec in target:
+        target_by_id.setdefault(spec.identity, []).append(spec)
+    adds, removes, moves, retained = [], [], [], 0
+    for identity, specs in target_by_id.items():
+        by_priority = {}
+        for rule in current_by_id.pop(identity, []):
+            by_priority.setdefault(rule.priority, []).append(rule)
+        unmatched_specs = []
+        for spec in specs:
+            bucket = by_priority.get(spec.priority)
+            if bucket:
+                bucket.pop()
+                retained += 1
+            else:
+                unmatched_specs.append(spec)
+        unmatched_rules = [rule for bucket in by_priority.values() for rule in bucket]
+        unmatched_rules.sort(key=lambda rule: rule.priority)
+        unmatched_specs.sort(key=lambda spec: spec.priority)
+        paired = min(len(unmatched_rules), len(unmatched_specs))
+        moves.extend(
+            (rule, spec.priority)
+            for rule, spec in zip(unmatched_rules[:paired], unmatched_specs[:paired])
+        )
+        adds.extend(unmatched_specs[paired:])
+        removes.extend(unmatched_rules[paired:])
+    for leftover in current_by_id.values():
+        removes.extend(leftover)
+    return TablePatch(adds, removes, moves, retained)
+
+
+# A small universe, so installed rules and specs share identities,
+# repeat them, and differ in one component at a time.
+_entries = st.tuples(
+    st.integers(min_value=1, max_value=6),  # priority
+    st.sampled_from(
+        (
+            HeaderMatch(dstport=80),
+            HeaderMatch(dstport=80, port="A1"),
+            HeaderMatch(dstip="10.0.0.0/8"),
+            HeaderMatch(dstmac=MACMask(0x02A500000001, 0xFFFFFFFFFF00)),
+        )
+    ),
+    st.sampled_from(
+        (
+            frozenset(),
+            frozenset({Action(port="B1")}),
+            frozenset({Action(port="B1"), Action(port="C1", dstmac="02:00:00:00:00:01")}),
+        )
+    ),
+    st.sampled_from(((BASE_COOKIE, "policy", "A"), (BASE_COOKIE, "policy", "B"))),
+    st.sampled_from(((0, None), (0, 1), (1, None))),  # (table, goto)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_entries, max_size=30), st.lists(_entries, max_size=30))
+def test_value_keyed_diff_equals_identity_keyed_diff(installed, wanted):
+    current = [
+        FlowRule(priority, match, actions, cookie=cookie, table=table, goto=goto)
+        for priority, match, actions, cookie, (table, goto) in installed
+    ]
+    target = [
+        RuleSpec(priority, match, actions, cookie, table, goto)
+        for priority, match, actions, cookie, (table, goto) in wanted
+    ]
+    patch, reference = diff(current, target), _diff_on_identity(current, target)
+    assert patch.adds == reference.adds
+    assert patch.removes == reference.removes
+    assert patch.moves == reference.moves
+    assert patch.retained == reference.retained
