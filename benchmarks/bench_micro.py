@@ -195,15 +195,12 @@ def test_telemetry_overhead_under_five_percent():
 
 # -- compile-shard scaling (staged pipeline) ----------------------------------
 #
-# How per-participant shard compilation scales with exchange size, and
-# whether the fork-pool backend actually buys anything.  Shard work is
-# made heavy enough (dense destination-specific policies over many
-# prefix groups) that it dominates the recompile; the pool comparison
-# is asserted only on multicore hosts and reported everywhere.
+# How per-participant shard compilation scales with exchange size.
+# Shard work is made heavy enough (dense destination-specific policies
+# over many prefix groups) that it dominates the recompile.
 
 
-def _sharded_controller(participants, backend):
-    from repro.core.config import SDXConfig
+def _sharded_controller(participants):
     from repro.core.controller import SDXController
     from repro.experiments.common import build_scenario, scaling_policies
 
@@ -213,7 +210,7 @@ def _sharded_controller(participants, backend):
         seed=participants,
         with_policies=False,
     )
-    controller = SDXController(scenario.ixp.config, sdx=SDXConfig(backend=backend))
+    controller = SDXController(scenario.ixp.config)
     controller.route_server.load(scenario.ixp.updates)
     policies = scaling_policies(
         scenario.ixp, participants * 12, chunk_size=2, senders=participants
@@ -229,51 +226,13 @@ def _recompile_all_shards(controller):
     return controller.compile()
 
 
-def _best_of(controller, rounds=3):
-    import time
-
-    best = None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        _recompile_all_shards(controller)
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 @pytest.mark.parametrize("participants", [2, 8, 32])
 def test_compile_shard_scaling_serial(benchmark, participants):
-    from repro.pipeline import SerialBackend
-
-    controller = _sharded_controller(participants, SerialBackend())
+    controller = _sharded_controller(participants)
     result = benchmark.pedantic(
         _recompile_all_shards, args=(controller,), rounds=3, warmup_rounds=1
     )
     assert result.segments
-
-
-@pytest.mark.parametrize("participants", [8, 32])
-def test_compile_shard_parallel_speedup(benchmark, participants):
-    import os
-
-    from _report import report
-
-    from repro.pipeline import ParallelBackend, SerialBackend
-
-    serial_best = _best_of(_sharded_controller(participants, SerialBackend()))
-    parallel = _sharded_controller(participants, ParallelBackend(processes=2))
-    benchmark.pedantic(_recompile_all_shards, args=(parallel,), rounds=3, warmup_rounds=1)
-    parallel_best = _best_of(parallel)
-    report(
-        f"shard scaling: {participants} participants  "
-        f"serial {serial_best * 1000:.0f} ms  "
-        f"parallel(2) {parallel_best * 1000:.0f} ms  "
-        f"speedup {serial_best / parallel_best:.2f}x"
-    )
-    if (os.cpu_count() or 1) >= 2:
-        assert parallel_best < serial_best, (
-            f"fork pool slower than serial at {participants} participants"
-        )
 
 
 # -- fabric reconciliation churn (delta committer) ------------------------------

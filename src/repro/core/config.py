@@ -30,20 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.supersets import VMAC_MODES
 from repro.dataplane.flowtable import DATAPLANE_MODES
 from repro.guard import AdmissionConfig, GuardConfig
 from repro.runtime import RUNTIME_MODES, RuntimeConfig
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.pipeline.backend import ExecutionBackend
-
 __all__ = ["KNOBS", "Knob", "SDXConfig", "knob_table_markdown"]
 
-#: names `backend="..."` accepts (backend_from_env's historical aliases)
-BACKEND_NAMES = ("serial", "parallel", "pool", "multiprocessing")
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("0", "false", "no", "off")
 
@@ -78,15 +73,6 @@ KNOBS: Tuple[Knob, ...] = (
         "Fabric layout: both pipeline stages composed into one flow "
         "table, or stage-1 rules in table 0 chaining (`goto`) to "
         "delivery rules in table 1",
-    ),
-    Knob(
-        "backend",
-        "REPRO_BACKEND",
-        "serial",
-        "`serial`, `parallel`",
-        "Compile-shard execution: in-process, or a fork pool "
-        "(`REPRO_BACKEND_PROCS` pins the pool size); an "
-        "`ExecutionBackend` instance is accepted directly",
     ),
     Knob(
         "runtime_mode",
@@ -134,18 +120,25 @@ KNOBS: Tuple[Knob, ...] = (
 )
 
 _KNOBS_BY_FIELD = {knob.field: knob for knob in KNOBS}
+#: the value sets of the string-valued knobs
+_CHOICES = {
+    "vmac_mode": VMAC_MODES,
+    "dataplane_mode": DATAPLANE_MODES,
+    "runtime_mode": RUNTIME_MODES,
+}
 
 
-def _parse_choice(knob: Knob, raw: str, source: str, choices: Tuple[str, ...]) -> str:
+def _parse_choice(knob: Knob, raw: str) -> str:
     mode = raw.strip().lower() or str(knob.default)
+    choices = _CHOICES[knob.field]
     if mode not in choices:
         raise ValueError(
-            f"{source}={raw!r}: expected one of {', '.join(choices)}"
+            f"{knob.env}={raw!r}: expected one of {', '.join(choices)}"
         )
     return mode
 
 
-def _parse_bool(knob: Knob, raw: str, source: str) -> bool:
+def _parse_bool(knob: Knob, raw: str) -> bool:
     value = raw.strip().lower()
     if not value:
         return bool(knob.default)
@@ -154,27 +147,9 @@ def _parse_bool(knob: Knob, raw: str, source: str) -> bool:
     if value in _FALSY:
         return False
     raise ValueError(
-        f"{source}={raw!r}: expected one of "
+        f"{knob.env}={raw!r}: expected one of "
         f"{', '.join(_TRUTHY)} / {', '.join(_FALSY)}"
     )
-
-
-def _make_backend(name: str, env: Mapping[str, str]) -> "ExecutionBackend":
-    from repro.pipeline.backend import ParallelBackend, SerialBackend
-
-    if name == "serial":
-        return SerialBackend()
-    procs_raw = env.get("REPRO_BACKEND_PROCS")
-    if procs_raw is not None:
-        try:
-            procs: Optional[int] = int(procs_raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BACKEND_PROCS={procs_raw!r}: expected an integer"
-            ) from None
-    else:
-        procs = None
-    return ParallelBackend(processes=procs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,9 +168,6 @@ class SDXConfig:
     vmac_mode: Optional[str] = None
     #: ``single`` or ``multitable`` (``REPRO_DATAPLANE``)
     dataplane_mode: Optional[str] = None
-    #: an :class:`~repro.pipeline.backend.ExecutionBackend` instance or
-    #: a backend name (``REPRO_BACKEND`` / ``REPRO_BACKEND_PROCS``)
-    backend: Optional["ExecutionBackend | str"] = None
     #: ``inline`` or ``eventloop`` (``REPRO_RUNTIME``)
     runtime_mode: Optional[str] = None
     #: event-loop tuning; only consulted when ``runtime_mode`` resolves
@@ -211,29 +183,12 @@ class SDXConfig:
     def __post_init__(self) -> None:
         # Validate explicit values eagerly so a typo fails at the call
         # site that made it, not at some later resolution.
-        if self.vmac_mode is not None and self.vmac_mode not in VMAC_MODES:
-            raise ValueError(
-                f"vmac_mode={self.vmac_mode!r}: expected one of "
-                f"{', '.join(VMAC_MODES)}"
-            )
-        if (
-            self.dataplane_mode is not None
-            and self.dataplane_mode not in DATAPLANE_MODES
-        ):
-            raise ValueError(
-                f"dataplane_mode={self.dataplane_mode!r}: expected one of "
-                f"{', '.join(DATAPLANE_MODES)}"
-            )
-        if self.runtime_mode is not None and self.runtime_mode not in RUNTIME_MODES:
-            raise ValueError(
-                f"runtime_mode={self.runtime_mode!r}: expected one of "
-                f"{', '.join(RUNTIME_MODES)}"
-            )
-        if isinstance(self.backend, str) and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend={self.backend!r}: expected one of "
-                f"{', '.join(BACKEND_NAMES)} or an ExecutionBackend instance"
-            )
+        for field, choices in _CHOICES.items():
+            value = getattr(self, field)
+            if value is not None and value not in choices:
+                raise ValueError(
+                    f"{field}={value!r}: expected one of {', '.join(choices)}"
+                )
         if self.runtime_config is not None and not isinstance(
             self.runtime_config, RuntimeConfig
         ):
@@ -283,84 +238,24 @@ class SDXConfig:
     def resolved(self, env: Optional[Mapping[str, str]] = None) -> "SDXConfig":
         """Fill every unset field from the environment, then defaults.
 
-        The returned config has no ``None`` left in the env-backed mode
-        fields, carries a concrete
-        :class:`~repro.pipeline.backend.ExecutionBackend` instance, and
-        validates every environment value with the knob's name in the
-        error message.  Idempotent.
+        The returned config has no ``None`` left in the env-backed
+        fields, and every environment value is validated with the
+        knob's name in the error message.  Defaults come from
+        :data:`KNOBS`.  Idempotent.
         """
         source = os.environ if env is None else env
-
-        def env_raw(knob: Knob) -> Optional[str]:
-            return source.get(knob.env) if knob.env is not None else None
-
-        vmac = self.vmac_mode
-        if vmac is None:
-            raw = env_raw(_KNOBS_BY_FIELD["vmac_mode"])
-            vmac = (
-                _parse_choice(
-                    _KNOBS_BY_FIELD["vmac_mode"], raw, "REPRO_VMAC", VMAC_MODES
-                )
-                if raw is not None
-                else "fec"
-            )
-        dataplane = self.dataplane_mode
-        if dataplane is None:
-            raw = env_raw(_KNOBS_BY_FIELD["dataplane_mode"])
-            dataplane = (
-                _parse_choice(
-                    _KNOBS_BY_FIELD["dataplane_mode"],
-                    raw,
-                    "REPRO_DATAPLANE",
-                    DATAPLANE_MODES,
-                )
-                if raw is not None
-                else "single"
-            )
-        runtime_mode = self.runtime_mode
-        if runtime_mode is None:
-            raw = env_raw(_KNOBS_BY_FIELD["runtime_mode"])
-            runtime_mode = (
-                _parse_choice(
-                    _KNOBS_BY_FIELD["runtime_mode"],
-                    raw,
-                    "REPRO_RUNTIME",
-                    RUNTIME_MODES,
-                )
-                if raw is not None
-                else "inline"
-            )
-        backend = self.backend
-        if backend is None:
-            raw = source.get("REPRO_BACKEND")
-            name = (
-                _parse_choice(
-                    _KNOBS_BY_FIELD["backend"], raw, "REPRO_BACKEND", BACKEND_NAMES
-                )
-                if raw is not None
-                else "serial"
-            )
-            backend = _make_backend(name, source)
-        elif isinstance(backend, str):
-            backend = _make_backend(
-                "serial" if backend == "serial" else "parallel", source
-            )
-        fast_path = self.fast_path_enabled
-        if fast_path is None:
-            raw = source.get("REPRO_FASTPATH")
-            fast_path = (
-                _parse_bool(_KNOBS_BY_FIELD["fast_path_enabled"], raw, "REPRO_FASTPATH")
-                if raw is not None
-                else True
-            )
-        return dataclasses.replace(
-            self,
-            vmac_mode=vmac,
-            dataplane_mode=dataplane,
-            backend=backend,
-            runtime_mode=runtime_mode,
-            fast_path_enabled=fast_path,
-        )
+        filled = {}
+        for knob in KNOBS:
+            if knob.env is None or getattr(self, knob.field) is not None:
+                continue
+            raw = source.get(knob.env)
+            if raw is None:
+                filled[knob.field] = knob.default
+            elif knob.field in _CHOICES:
+                filled[knob.field] = _parse_choice(knob, raw)
+            else:
+                filled[knob.field] = _parse_bool(knob, raw)
+        return dataclasses.replace(self, **filled)
 
     def __repr__(self) -> str:
         shown = ", ".join(

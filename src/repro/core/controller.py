@@ -80,7 +80,7 @@ from repro.dataplane.router import BorderRouter
 from repro.dataplane.switch import SDNSwitch
 from repro.ixp.topology import IXPConfig
 from repro.netutils.ip import IPv4Address, IPv4Prefix
-from repro.pipeline import CompilationPipeline, ExecutionBackend
+from repro.pipeline import CompilationPipeline
 from repro.pipeline.stages import BASE_COOKIE, BASE_PRIORITY
 from repro.policy.classifier import Action, Classifier, HeaderMatch, Rule
 from repro.policy.packet import Packet
@@ -148,7 +148,6 @@ class SDXController:
         arp: Optional[ARPService] = None,
         ownership: Optional["OwnershipRegistry"] = None,
         route_server_asn: Optional[int] = None,
-        backend: Optional[ExecutionBackend] = None,
         guard: Optional[GuardConfig] = None,
         admission: Optional[AdmissionConfig] = None,
         vmac_mode: Optional[str] = None,
@@ -168,7 +167,6 @@ class SDXController:
         sdx = (sdx if sdx is not None else SDXConfig()).overlay(
             vmac_mode=vmac_mode,
             dataplane_mode=dataplane_mode,
-            backend=backend,
             runtime_mode=runtime_mode,
             runtime_config=runtime_config,
             guard=guard,
@@ -268,10 +266,8 @@ class SDXController:
         self.policy = PolicyFacet(self)
         self.ops = OpsFacet(self)
 
-        #: the staged compilation engine (shard cache, ingress, committer);
-        #: the backend instance was resolved by ``SDXConfig`` (explicit
-        #: arg > REPRO_BACKEND > serial)
-        self.pipeline = CompilationPipeline(self, backend=self.sdx.backend)
+        #: the staged compilation engine (shard cache, ingress, committer)
+        self.pipeline = CompilationPipeline(self)
         self._deferred_depth = 0
         self._deferred_pending = False
 
@@ -315,11 +311,10 @@ class SDXController:
         re-optimization" endpoint of Section 4.3.2.
 
         Compilation runs on the staged pipeline: only shards whose
-        inputs changed are recompiled (on the configured execution
-        backend), and it is *fault-isolated* — a participant whose
-        policy raises is quarantined (degraded to BGP default
-        forwarding, with a recorded diagnosis) and the global compile
-        proceeds without it.  Installation is *delta-reconciled* and
+        inputs changed are recompiled, and it is *fault-isolated* — a
+        participant whose policy raises is quarantined (degraded to BGP
+        default forwarding, with a recorded diagnosis) and the global
+        compile proceeds without it.  Installation is *delta-reconciled* and
         *transactional*: only the minimal add/remove/reprioritize patch
         against the installed table is applied (unchanged rules keep
         their packet/byte counters), and a failure mid-commit rolls the

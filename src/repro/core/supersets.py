@@ -396,12 +396,13 @@ class SupersetEncoder:
         return MACMask(value, _MARKER_MASK | _NEXTHOP_MASK)
 
     def view(self) -> "SupersetView":
-        """A read-only, process-portable snapshot of the registry.
+        """A read-only snapshot of the registry.
 
         Compile shards receive the view, never the live encoder: a shard
-        is a pure function of its inputs, and handing it the mutable
-        registry would let a transform race a concurrent ``encode``.
-        The snapshot carries the epoch so stale views are detectable.
+        is a pure function of its inputs, and the event-loop runtime can
+        run a deferred-guard rollback (which rewinds the live registry)
+        while a compilation is paused at a stage yield.  The snapshot
+        carries the epoch so stale views are detectable.
         """
         return SupersetView(
             positions=tuple(dict(positions) for positions in self._positions),

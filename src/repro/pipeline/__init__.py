@@ -10,18 +10,10 @@ Stage graph (see ``docs/internals.md`` for the full contract)::
                      |                                 |
                      v                                 v
            CompileShards ("policy", name | "chains" | "default")
-                     |        (ExecutionBackend: serial / parallel)
                      v
               [assemble] -> FabricCommitter -> SDNSwitch flow table
 """
 
-from repro.pipeline.backend import (
-    ExecutionBackend,
-    ParallelBackend,
-    SerialBackend,
-    ShuffledSerialBackend,
-    backend_from_env,
-)
 from repro.pipeline.events import (
     ChainsChanged,
     CommitApplied,
@@ -45,17 +37,12 @@ __all__ = [
     "CompileFinished",
     "DirtyTracker",
     "EventBus",
-    "ExecutionBackend",
     "FabricCommitter",
-    "ParallelBackend",
     "PolicyChanged",
     "QuarantineLifted",
     "RoutesChanged",
-    "SerialBackend",
     "ShardResult",
     "ShardTask",
-    "ShuffledSerialBackend",
     "UpdateIngress",
-    "backend_from_env",
     "run_shard",
 ]

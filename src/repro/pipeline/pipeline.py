@@ -17,8 +17,8 @@ the old ``SDXController`` with explicit stages:
 4. **shards** — per-participant compile shards plus the shared
    ``chains``/``default`` segments, each revalidated against a
    signature (policy set, reachability map, covering FEC groups,
-   consulted stage-2 blocks); only *dirty* shards are recompiled, on
-   the configured :class:`~repro.pipeline.backend.ExecutionBackend`;
+   consulted stage-2 blocks); only *dirty* shards are recompiled, in
+   process and in plan order;
 5. **assemble** — disjoint concatenation in configuration order,
    advertisement map, stats (fed to the legacy compile metrics so
    dashboards keep working).
@@ -78,7 +78,6 @@ from repro.netutils.ip import IPv4Address, IPv4Prefix
 from repro.policy.classifier import Action, Classifier, HeaderMatch, Rule
 from repro.resilience.health import QuarantineRecord
 
-from repro.pipeline.backend import ExecutionBackend, backend_from_env
 from repro.pipeline.events import (
     ChainsChanged,
     CommitApplied,
@@ -136,13 +135,8 @@ class _ExtractEntry(NamedTuple):
 class CompilationPipeline:
     """Stages, shard cache, and scheduling for one controller."""
 
-    def __init__(
-        self,
-        controller: "SDXController",
-        backend: Optional[ExecutionBackend] = None,
-    ) -> None:
+    def __init__(self, controller: "SDXController") -> None:
         self.controller = controller
-        self.backend = backend if backend is not None else backend_from_env()
         self.bus = EventBus()
         self.dirty = DirtyTracker()
         self.ingress = UpdateIngress(self)
@@ -249,27 +243,23 @@ class CompilationPipeline:
     def compile(self) -> CompilationResult:
         """Run the staged pipeline (or the legacy path for ablation options).
 
-        Inline trampoline over :meth:`compile_steps`: stage markers are
-        ignored and in-flight shard futures are waited on immediately,
-        which reproduces the old blocking barrier byte-for-byte.
+        Inline driver over :meth:`compile_steps`: the stage markers are
+        skipped and the generator runs to its return value.
         """
         steps = self.compile_steps()
         while True:
             try:
-                token = next(steps)
+                next(steps)
             except StopIteration as stop:
                 return stop.value
-            if token[0] == "wait":
-                token[1].wait()
 
     def compile_steps(self):
         """Generator form of the compile loop, with explicit yield points.
 
-        Yields ``("stage", name)`` after each serial stage and
-        ``("wait", future)`` while a shard batch is in flight on the
-        backend; :class:`~repro.runtime.ControlPlaneRuntime` uses these
-        points to overlap guard verification of the previous commit (and
-        general bookkeeping) with this compilation.  Nothing may mutate
+        Yields ``("stage", name)`` after the ast, fec and stage-2 stages;
+        :class:`~repro.runtime.ControlPlaneRuntime` uses these points to
+        overlap guard verification of the previous commit (and general
+        bookkeeping) with this compilation.  Nothing may mutate
         controller state at a yield point — the runtime only runs
         side-effect-free work under an in-flight pass, which is what
         keeps both drivers byte-identical.  The compiled result is the
@@ -374,8 +364,9 @@ class CompilationPipeline:
         yield ("stage", "fec")
 
         # Encoding context for this pass.  The encoder view is a frozen
-        # registry snapshot: shards read it without touching (or racing
-        # on) the live encoder, and it crosses a worker fork as data.
+        # registry snapshot: shards read it without touching the live
+        # encoder, which a deferred-guard rollback may rewind while the
+        # runtime holds this pass at a stage yield.
         mode = controller.vmac_mode
         encoder = controller.superset_encoder
         encoder_view = encoder.view() if encoder is not None else None
@@ -488,17 +479,9 @@ class CompilationPipeline:
                     )
                 )
 
-        tasks = [task for _, task, _ in plan if task is not None]
-        if tasks:
-            # Non-blocking dispatch: the batch grinds on the backend
-            # while the caller interleaves other work at the yield
-            # point (the inline trampoline just waits immediately).
-            future = self.backend.submit(tasks, run_shard)
-            while not future.poll():
-                yield ("wait", future)
-            shard_results = future.result()
-        else:
-            shard_results = []
+        shard_results = self._run_shards(
+            [task for _, task, _ in plan if task is not None]
+        )
         results_by_label: Dict[Tuple, ShardResult] = {
             result.label: result for result in shard_results
         }
@@ -602,6 +585,16 @@ class CompilationPipeline:
         )
 
     # -- stage helpers ------------------------------------------------------
+
+    def _run_shards(self, tasks: List[ShardTask]) -> List[ShardResult]:
+        """Compile the dirty shards, results in task order.
+
+        Shards are independent (stage-1 blocks are port-isolated), so
+        assembly must not depend on execution order;
+        ``tests/property/test_pipeline_equivalence.py`` replaces this
+        method with a shuffled-order executor to prove it.
+        """
+        return [run_shard(task) for task in tasks]
 
     def _materialize_reachable(
         self, name: str, classifier: Classifier, participant_names: FrozenSet[str]

@@ -18,11 +18,11 @@ authorities — the FEC partition, VNH/VMAC allocation, ARP — and the
 final rule merge.
 
 :func:`run_shard` is a *pure function* of its :class:`ShardTask`: it
-reads no controller state, which is what lets the pipeline run it in a
-forked worker process or replay it from cache.  Failures never escape
-— they come back in ``ShardResult.error`` so the scheduler can decide
-between quarantining a participant (policy shards) and aborting the
-compilation (shared shards).
+reads no controller state, which is what lets the pipeline run shards
+in any order or replay them from cache.  Failures never escape — they
+come back in ``ShardResult.error`` so the scheduler can decide between
+quarantining a participant (policy shards) and aborting the compilation
+(shared shards).
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class ParticipantRIBView(NamedTuple):
     This is everything a participant-local compilation is entitled to
     read: what its peers export *to it* (the BGP-consistency filters of
     its outbound policy) and the ranked routes *it announced* (its
-    delivery rules).  Views are plain data — comparable for shard-cache
-    validation and inheritable across a worker fork — and are built by
-    the central pipeline, which remains the RIB/ARP authority.
+    delivery rules).  Views are plain data, comparable for shard-cache
+    validation, and are built by the central pipeline, which remains
+    the RIB/ARP authority.
     """
 
     participant: str
@@ -132,7 +132,8 @@ class ShardTask(NamedTuple):
     rib_view: Optional[ParticipantRIBView] = None
     #: VMAC encoding scheme this shard compiles under
     mode: str = "fec"
-    #: superset mode: the encoder registry snapshot (a SupersetView)
+    #: superset mode: the encoder registry snapshot (a SupersetView),
+    #: frozen so a rollback at a compile-task yield cannot move it
     encoder: Optional[Any] = None
     #: False in the multi-table layout: the stage-1 block *is* the
     #: segment (table 0, goto stage 2) and composition is skipped

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 from repro.runtime.events import Submission
 from repro.runtime.queues import BoundedQueue, QueueOverflow
 from repro.runtime.runtime import CompileJob, ControlPlaneRuntime, RuntimeConfig
-from repro.runtime.scheduler import CooperativeScheduler, StepInfo, TimerWheel
+from repro.runtime.scheduler import CooperativeScheduler, TimerWheel
 
 __all__ = [
     "RUNTIME_MODES",
@@ -34,7 +34,6 @@ __all__ = [
     "CooperativeScheduler",
     "QueueOverflow",
     "RuntimeConfig",
-    "StepInfo",
     "Submission",
     "TimerWheel",
     "runtime_mode_from_env",

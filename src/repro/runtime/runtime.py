@@ -9,9 +9,7 @@ into four cooperative tasks communicating through queues:
   coalescing contiguous BGP bursts through ``UpdateIngress.batch``, and
   waits for any compile job an event requested;
 * **compile** — drives ``CompilationPipeline.compile_steps()``, yielding
-  at stage boundaries and while a shard batch is in flight on the
-  :class:`~repro.pipeline.backend.ExecutionBackend` (non-blocking
-  futures instead of the old barrier);
+  at its stage boundaries so the verify task gets a turn mid-pass;
 * **verify** — runs the *deferred* guard check of the previous commit
   (:meth:`~repro.guard.commits.CommitGuard.verify_snapshot`), which is
   how guard verification of commit N overlaps compilation of N+1;
@@ -276,23 +274,17 @@ class ControlPlaneRuntime:
     def drain(self) -> None:
         """Run the loop until every queue is empty and nothing is in flight.
 
-        One rotation resumes every task once.  A rotation with no
-        progress but blocked futures blocks on the first future (the
-        verify task already had its overlap turn this rotation); with
-        no progress and no futures, the virtual clock advances to the
-        next timer (admission retries, resilience timers).  Raises the
-        first recorded task error after quiescence.
+        One rotation resumes every task once.  After a rotation with no
+        progress the virtual clock advances to the next timer (admission
+        retries, resilience timers).  Raises the first recorded task
+        error after quiescence.
         """
         if self._active:
             return
         self._active = True
         try:
             while not self._quiescent():
-                info = self.scheduler.step()
-                if info.progressed or self._quiescent():
-                    continue
-                if info.futures:
-                    info.futures[0].wait()
+                if self.scheduler.step() or self._quiescent():
                     continue
                 next_at = self.clock.next_event_time()
                 if next_at is not None:
@@ -469,25 +461,14 @@ class ControlPlaneRuntime:
                     aborted = True
                     break
                 try:
-                    token = next(steps)
+                    next(steps)
                 except StopIteration as stop:
                     result = stop.value
                     break
                 except Exception as exc:  # noqa: BLE001 - fails the job
                     error = exc
                     break
-                if token[0] == "wait":
-                    future = token[1]
-                    yield ("wait", future)
-                    if self._abort_requested:
-                        # Wind the in-flight batch down before closing:
-                        # a forked pool must be joined, not leaked.
-                        try:
-                            future.wait()
-                        except Exception:  # noqa: BLE001 - discarded
-                            pass
-                else:
-                    yield ("worked",)
+                yield ("worked",)
             self._compiling = False
             self._abort_requested = False
             self._compile_q.popleft()

@@ -13,21 +13,20 @@ than threads, so a replay with the same seed and event trace schedules
 
 * :class:`CooperativeScheduler` — resumes each registered task
   generator once per :meth:`step`, in registration order, forever.
-  Tasks yield small tokens: ``("idle",)`` (nothing to do),
-  ``("worked",)`` (made progress), or ``("wait", future)`` (blocked on
-  an in-flight :class:`~repro.pipeline.backend.BackendFuture`).  The
-  fixed resume order is what makes interleaving deterministic: there is
-  no readiness race to win, only a rotation to take a turn in.  Non-idle
-  slices are timed onto the ``sdx_runtime_task_seconds`` histogram.
+  Tasks yield small tokens: ``("idle",)`` (nothing to do) or
+  ``("worked",)`` (made progress).  The fixed resume order is what
+  makes interleaving deterministic: there is no readiness race to win,
+  only a rotation to take a turn in.  Non-idle slices are timed onto the
+  ``sdx_runtime_task_seconds`` histogram.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.sim.clock import Simulator, TimerHandle
 
-__all__ = ["CooperativeScheduler", "StepInfo", "TimerWheel"]
+__all__ = ["CooperativeScheduler", "TimerWheel"]
 
 
 class TimerWheel:
@@ -65,15 +64,6 @@ class TimerWheel:
         return f"TimerWheel(now={self._clock.now})"
 
 
-class StepInfo(NamedTuple):
-    """What one scheduler rotation accomplished."""
-
-    #: at least one task yielded ("worked",)
-    progressed: bool
-    #: futures tasks are blocked on (empty unless some task yielded wait)
-    futures: Tuple
-
-
 class _Task:
     __slots__ = ("name", "gen", "retired")
 
@@ -99,10 +89,9 @@ class CooperativeScheduler:
     def task_names(self) -> Tuple[str, ...]:
         return tuple(task.name for task in self._tasks)
 
-    def step(self) -> StepInfo:
-        """Resume every live task once; report progress and blockers."""
+    def step(self) -> bool:
+        """Resume every live task once; True if any task made progress."""
         progressed = False
-        futures: List = []
         for task in self._tasks:
             if task.retired:
                 continue
@@ -112,16 +101,12 @@ class CooperativeScheduler:
             except StopIteration:
                 task.retired = True
                 continue
-            kind = token[0]
-            if kind == "idle":
+            if token[0] == "idle":
                 continue
             if self._m_task is not None:
                 self._m_task.observe(self._now() - started, task=task.name)
-            if kind == "wait":
-                futures.append(token[1])
-            else:
-                progressed = True
-        return StepInfo(progressed=progressed, futures=tuple(futures))
+            progressed = True
+        return progressed
 
     def __repr__(self) -> str:
         return f"CooperativeScheduler(tasks={list(self.task_names)})"

@@ -23,8 +23,7 @@ pattern):
   attributes and whose edges carry ``rel`` (``"p2c"``/``"p2p"``).
 
 Data-driven construction is fully deterministic — no RNG anywhere —
-so fixture digests are byte-stable across runs, processes, and
-backends (see ``tests/property/test_workload_determinism.py``).
+so fixture digests are byte-stable across runs and processes (see ``tests/property/test_workload_determinism.py``).
 """
 
 from __future__ import annotations

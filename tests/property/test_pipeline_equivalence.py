@@ -20,11 +20,13 @@ pinned, every other byte must match.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.controller import SDXController
 from repro.experiments.common import build_scenario
-from repro.pipeline import ParallelBackend, ShuffledSerialBackend
+from repro.pipeline import CompilationPipeline, run_shard
 from repro.workloads.policy_gen import generate_policies
 from repro.workloads.update_gen import generate_update_trace
 
@@ -117,16 +119,27 @@ def test_pipeline_matches_legacy_compiler_serial(seed):
     _churn(controller, scenario, seed=seed + 7)
 
 
-def test_pipeline_matches_legacy_compiler_parallel():
-    scenario = build_scenario(participants=8, prefixes=48, seed=5, policy_seed=105)
-    controller = scenario.controller(backend=ParallelBackend(processes=2))
-    _assert_matches_legacy(controller)
-    _churn(controller, scenario, seed=12)
+def _shuffled_executor(seed):
+    """A ``_run_shards`` that runs shards in a seeded random order.
+
+    Results still come back in task order, as the pipeline expects; only
+    the execution order changes.
+    """
+
+    def run_shards(self, tasks):
+        order = list(range(len(tasks)))
+        random.Random(seed).shuffle(order)
+        results = [None] * len(tasks)
+        for index in order:
+            results[index] = run_shard(tasks[index])
+        return results
+
+    return run_shards
 
 
-def _scripted_run(scenario, backend):
+def _scripted_run(scenario):
     """Drive one fixed input sequence; return every observable checkpoint."""
-    controller = scenario.controller(backend=backend)
+    controller = scenario.controller()
     hashes = [controller.switch.table.content_hash()]
     trace = generate_update_trace(scenario.ixp, bursts=20, seed=31)
     with controller.routing.batched_updates():
@@ -142,20 +155,15 @@ def _scripted_run(scenario, backend):
     return hashes
 
 
-def test_flow_table_deterministic_across_backends():
-    """Same inputs -> identical flow table, whatever runs the shards.
+def test_flow_table_deterministic_across_backends(monkeypatch):
+    """Same inputs -> identical flow table, whatever order shards run in.
 
-    The serial backend is the reference; shuffled backends randomize
-    shard *execution* order and the fork pool randomizes *completion*
-    order, so agreement here means assembly depends only on the
-    submission order, never on scheduling.
+    The in-order executor is the reference; the shuffled executors
+    randomize shard *execution* order, so agreement here means assembly
+    depends only on the task order, never on scheduling.
     """
     scenario = build_scenario(participants=8, prefixes=48, seed=9, policy_seed=109)
-    reference = _scripted_run(scenario, backend=None)
-    for backend in (
-        ShuffledSerialBackend(seed=3),
-        ShuffledSerialBackend(seed=99),
-        ParallelBackend(processes=2),
-        ParallelBackend(processes=4),
-    ):
-        assert _scripted_run(scenario, backend=backend) == reference
+    reference = _scripted_run(scenario)
+    for seed in (3, 99):
+        monkeypatch.setattr(CompilationPipeline, "_run_shards", _shuffled_executor(seed))
+        assert _scripted_run(scenario) == reference

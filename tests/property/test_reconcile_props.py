@@ -28,7 +28,6 @@ from repro.dataplane.reconcile import (
 )
 from repro.experiments.common import build_scenario
 from repro.netutils.mac import MACMask
-from repro.pipeline import ParallelBackend, SerialBackend
 from repro.policy.classifier import Action, HeaderMatch
 from repro.workloads.policy_gen import generate_policies
 from repro.workloads.update_gen import generate_update_trace
@@ -85,17 +84,11 @@ def test_reconciled_commits_match_full_reinstall(seed):
     _assert_digest_identical(controller)
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [SerialBackend(), ParallelBackend(processes=2)],
-    ids=["serial", "parallel"],
-)
-def test_reconciling_committer_backend_matrix(backend):
-    """The delta committer composes with every execution backend: shard
-    results computed serially or in worker processes reconcile to the
-    same table a full reinstall would build."""
+def test_reconciling_committer_matches_reinstall_after_policy_edit():
+    """Shard results reconcile to the same table a full reinstall would
+    build, both at cold start and after a single-participant edit."""
     scenario = build_scenario(participants=8, prefixes=48, seed=9, policy_seed=109)
-    controller = scenario.controller(backend=backend)
+    controller = scenario.controller()
     _assert_digest_identical(controller)
     alternate = generate_policies(scenario.ixp, seed=900)
     name = next(iter(alternate.policies))

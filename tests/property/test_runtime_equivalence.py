@@ -1,13 +1,12 @@
 """Determinism pin: ``REPRO_RUNTIME=inline`` ≡ ``eventloop``, byte for byte.
 
 The event-loop runtime reorders *when* work happens — events queue,
-compilation yields at stage and shard boundaries, guard verification of
+compilation yields at stage boundaries, guard verification of
 commit N overlaps compilation of N+1 — but it runs exactly the same
 apply bodies at exactly the same points in event order.  These tests
 drive identical seeded workloads (synthetic exchange, §6.1 policy mix,
 burst-structured update traces) through both modes and assert the flow
-tables match at every checkpoint, across serial and parallel execution
-backends and with the commit guard on and off.
+tables match at every checkpoint, with the commit guard on and off.
 
 The one sanctioned divergence is opt-in burst coalescing
 (``RuntimeConfig(coalesce=True)``): it collapses a burst's fast-path
@@ -23,18 +22,15 @@ import pytest
 
 from repro.experiments.common import build_scenario
 from repro.guard import GuardConfig
-from repro.pipeline import ParallelBackend
 from repro.runtime import RuntimeConfig
 from repro.workloads.policy_gen import generate_policies
 from repro.workloads.update_gen import generate_update_trace
 
 
-def _drive(scenario, seed, *, runtime_mode, backend=None, guard=None,
-           pipelined=False, runtime_config=None):
+def _drive(scenario, seed, *, runtime_mode, guard=None, pipelined=False,
+           runtime_config=None):
     """One fixed workload; returns the digest at every checkpoint."""
     kwargs = {"runtime_mode": runtime_mode}
-    if backend is not None:
-        kwargs["backend"] = backend
     if guard is not None:
         kwargs["guard"] = guard
     if runtime_config is not None:
@@ -79,17 +75,6 @@ def test_eventloop_matches_inline_serial(seed):
     assert eventloop == inline
 
 
-def test_eventloop_matches_inline_parallel_backend():
-    scenario = build_scenario(participants=8, prefixes=48, seed=5, policy_seed=105)
-    inline = _drive(
-        scenario, 12, runtime_mode="inline", backend=ParallelBackend(processes=2)
-    )
-    eventloop = _drive(
-        scenario, 12, runtime_mode="eventloop", backend=ParallelBackend(processes=2)
-    )
-    assert eventloop == inline
-
-
 @pytest.mark.parametrize("seed", [0, 3])
 def test_pipelined_burst_matches_inline(seed):
     """Burst mode pipelines ingress/compile/commit/verify yet stays
@@ -102,17 +87,14 @@ def test_pipelined_burst_matches_inline(seed):
     assert burst == inline
 
 
-@pytest.mark.parametrize("backend", [None, ParallelBackend(processes=2)],
-                         ids=["serial", "parallel"])
-def test_deferred_guard_verification_is_side_effect_free(backend):
+def test_deferred_guard_verification_is_side_effect_free():
     """With the guard on, eventloop defers verification past the commit;
     a passing check must leave no trace — digests match inline exactly."""
     scenario = build_scenario(participants=8, prefixes=48, seed=4, policy_seed=104)
     guard = GuardConfig(probe_budget=16, seed=3)
-    inline = _drive(scenario, 9, runtime_mode="inline", backend=backend, guard=guard)
+    inline = _drive(scenario, 9, runtime_mode="inline", guard=guard)
     eventloop = _drive(
-        scenario, 9, runtime_mode="eventloop", backend=backend, guard=guard,
-        pipelined=True,
+        scenario, 9, runtime_mode="eventloop", guard=guard, pipelined=True
     )
     assert eventloop == inline
 

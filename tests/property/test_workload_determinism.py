@@ -1,16 +1,13 @@
 """Determinism properties: same seed → byte-identical workloads.
 
-Three layers of the guarantee, each pinned separately:
+Two layers of the guarantee, each pinned separately:
 
 * **repeat-run** — calling a generator or provider twice in one
   process yields byte-identical serialized documents;
 * **cross-process / cross-PYTHONHASHSEED** — hash randomization must
   not leak into generated topologies, traces, or fixture ingestion
   (``IPv4Prefix.__hash__`` is salt-dependent, so any iteration over an
-  un-sorted prefix set would break this);
-* **serial vs parallel backend** — replaying the same scenario trace
-  through controllers on different execution backends converges to the
-  same fabric digest.
+  un-sorted prefix set would break this).
 """
 
 import hashlib
@@ -20,10 +17,7 @@ import sys
 
 import pytest
 
-from repro.core.controller import SDXController
-from repro.pipeline import ParallelBackend
 from repro.workloads.providers import SyntheticProvider, load_fixture
-from repro.workloads.scenarios import ScenarioSpec, build_scenario_trace, replay
 from repro.workloads.serialization import (
     dumps_topology,
     dumps_trace,
@@ -109,20 +103,3 @@ class TestCrossProcessIdentity:
         assert first == second
         assert set(first) == {"ixp", "trace", "fixture", "scenario"}
 
-
-class TestBackendIdentity:
-    def _fabric_hash(self, ixp, trace, backend):
-        controller = SDXController(ixp.config, backend=backend)
-        controller.route_server.load(ixp.updates)
-        controller.compile()
-        replay(controller, trace.updates, verify_every=0, recompile_every=4)
-        return controller.switch.table.content_hash()
-
-    def test_serial_and_parallel_replay_identically(self):
-        ixp = load_fixture("ixp_small").build()
-        trace = build_scenario_trace(
-            ixp, ScenarioSpec("d", "correlated-withdrawal", seed=8)
-        )
-        serial = self._fabric_hash(ixp, trace, backend=None)
-        parallel = self._fabric_hash(ixp, trace, ParallelBackend(processes=2))
-        assert serial == parallel

@@ -5,12 +5,8 @@ import pytest
 from repro.core.controller import SDXController
 from repro.pipeline import (
     CompileFinished,
-    ParallelBackend,
     PolicyChanged,
-    SerialBackend,
     ShardTask,
-    ShuffledSerialBackend,
-    backend_from_env,
     run_shard,
 )
 from repro.dataplane.reconcile import is_base_cookie
@@ -24,35 +20,6 @@ from tests.conftest import install_figure1_policies
 def _counter(controller: SDXController, name: str, **labels) -> float:
     metric = controller.telemetry.get(name)
     return metric.value(**labels) if metric is not None else 0.0
-
-
-class TestBackends:
-    def test_env_selection_defaults_to_serial(self):
-        assert isinstance(backend_from_env({}), SerialBackend)
-        assert isinstance(backend_from_env({"REPRO_BACKEND": "serial"}), SerialBackend)
-
-    def test_env_selection_parallel_with_pinned_pool(self):
-        backend = backend_from_env(
-            {"REPRO_BACKEND": "parallel", "REPRO_BACKEND_PROCS": "3"}
-        )
-        assert isinstance(backend, ParallelBackend)
-        assert backend.processes == 3
-
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            SerialBackend(),
-            ShuffledSerialBackend(seed=5),
-            ShuffledSerialBackend(seed=42),
-            ParallelBackend(processes=2),
-        ],
-    )
-    def test_results_come_back_in_submission_order(self, backend):
-        tasks = list(range(9))
-        assert backend.run(tasks, lambda n: n * n) == [n * n for n in tasks]
-
-    def test_parallel_single_task_runs_inline(self):
-        assert ParallelBackend(processes=4).run([21], lambda n: n * 2) == [42]
 
 
 class TestEvents:

@@ -84,26 +84,18 @@ class TestCooperativeScheduler:
         scheduler.add("b", task("b"))
         scheduler.add("c", task("c"))
         for _ in range(3):
-            assert scheduler.step().progressed
+            assert scheduler.step()
         assert order == ["a", "b", "c"] * 3
 
-    def test_idle_round_reports_no_progress_and_collects_futures(self):
-        sentinel = object()
-
+    def test_idle_round_reports_no_progress(self):
         def idler():
             while True:
                 yield ("idle",)
 
-        def waiter():
-            while True:
-                yield ("wait", sentinel)
-
         scheduler = CooperativeScheduler()
-        scheduler.add("idle", idler())
-        scheduler.add("wait", waiter())
-        info = scheduler.step()
-        assert not info.progressed
-        assert info.futures == (sentinel,)
+        scheduler.add("a", idler())
+        scheduler.add("b", idler())
+        assert scheduler.step() is False
 
     def test_finished_task_is_retired(self):
         def once():
@@ -111,8 +103,8 @@ class TestCooperativeScheduler:
 
         scheduler = CooperativeScheduler()
         scheduler.add("once", once())
-        assert scheduler.step().progressed
-        assert not scheduler.step().progressed  # retired, nothing left
+        assert scheduler.step()
+        assert not scheduler.step()  # retired, nothing left
 
 
 class TestTimerWheel:

@@ -9,7 +9,6 @@ import pytest
 from repro import IXPConfig, SDXConfig, SDXController
 from repro.core.config import KNOBS, knob_table_markdown
 from repro.guard import AdmissionConfig, GuardConfig
-from repro.pipeline.backend import ParallelBackend, SerialBackend
 from repro.runtime import RuntimeConfig
 
 
@@ -89,42 +88,6 @@ class TestFastPathPrecedence:
             SDXConfig(fast_path_enabled="yes")
 
 
-class TestBackendPrecedence:
-    def test_default_is_serial(self):
-        assert isinstance(SDXConfig().resolved(env={}).backend, SerialBackend)
-
-    def test_env_selects_parallel(self):
-        resolved = SDXConfig().resolved(env={"REPRO_BACKEND": "parallel"})
-        assert isinstance(resolved.backend, ParallelBackend)
-
-    def test_explicit_instance_beats_env(self):
-        backend = SerialBackend()
-        resolved = SDXConfig(backend=backend).resolved(
-            env={"REPRO_BACKEND": "parallel"}
-        )
-        assert resolved.backend is backend
-
-    def test_explicit_name_beats_env(self):
-        resolved = SDXConfig(backend="serial").resolved(
-            env={"REPRO_BACKEND": "parallel"}
-        )
-        assert isinstance(resolved.backend, SerialBackend)
-
-    def test_invalid_env_value_names_the_variable(self):
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            SDXConfig().resolved(env={"REPRO_BACKEND": "bogus"})
-
-    def test_invalid_explicit_name_names_the_field(self):
-        with pytest.raises(ValueError, match="backend"):
-            SDXConfig(backend="bogus")
-
-    def test_invalid_procs_value_names_the_variable(self):
-        with pytest.raises(ValueError, match="REPRO_BACKEND_PROCS"):
-            SDXConfig().resolved(
-                env={"REPRO_BACKEND": "parallel", "REPRO_BACKEND_PROCS": "two"}
-            )
-
-
 class TestObjectKnobs:
     @pytest.mark.parametrize("field,good", [
         ("runtime_config", RuntimeConfig()),
@@ -153,7 +116,7 @@ class TestResolutionMechanics:
         once = SDXConfig().resolved(env={"REPRO_VMAC": "superset"})
         again = once.resolved(env={"REPRO_VMAC": "fec"})
         assert again.vmac_mode == "superset"
-        assert again.backend is once.backend
+        assert again == once
 
     def test_from_env_snapshot(self):
         snapshot = SDXConfig.from_env(
@@ -168,6 +131,12 @@ class TestResolutionMechanics:
         assert repr(SDXConfig(vmac_mode="superset")) == (
             "SDXConfig(vmac_mode='superset')"
         )
+
+    def test_env_defaults_come_from_the_registry(self):
+        resolved = SDXConfig.from_env({})
+        for knob in KNOBS:
+            if knob.env is not None:
+                assert getattr(resolved, knob.field) == knob.default, knob.field
 
     def test_registry_covers_every_field(self):
         fields = {field.name for field in dataclasses.fields(SDXConfig)}
