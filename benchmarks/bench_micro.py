@@ -108,11 +108,64 @@ def test_flow_table_matching(benchmark):
     assert rule is not None
 
 
-def test_fastpath_additional_rules_scan(benchmark):
-    # Regression guard: additional_rules() must be one pass over the
-    # table with a precomputed cookie set.  The old per-rule generator
-    # rebuilt set(self._active.values()) for every table entry, turning
-    # the scan quadratic once hundreds of prefixes were active.
+def test_flow_table_lookup_policy_dense_shape(benchmark):
+    # Shaped like the policy-dense fabric: ~4k rules over 150 ingress
+    # ports x exact VMACs, with and without a transport port, plus
+    # source-prefix rules of mixed lengths and per-VMAC delivery rules.
+    # A lookup probes about a dozen signatures, not the single one of
+    # test_flow_table_matching.
+    from repro.dataplane.flowtable import FlowRule, FlowTable
+    from repro.netutils.mac import MACAddress
+    from repro.policy.classifier import Action, HeaderMatch
+
+    rng = random.Random(7)
+    table = FlowTable()
+    ports = [f"P{index}" for index in range(150)]
+    vmacs = [MACAddress(0x02A5_0000_0000 + index) for index in range(40)]
+    out = (Action(port="out"),)
+    priority = 100_000
+    for port in ports:
+        for vmac in rng.sample(vmacs, 8):
+            for extra in ({"dstport": rng.choice((22, 80, 443))}, {}):
+                table.install(FlowRule(priority, HeaderMatch(port=port, dstmac=vmac, **extra), out))
+                priority -= 1
+        for _ in range(10):
+            source = IPv4Prefix(rng.getrandbits(32), rng.choice((8, 16, 24)))
+            table.install(
+                FlowRule(priority, HeaderMatch(dstmac=rng.choice(vmacs), srcip=source), out)
+            )
+            priority -= 1
+    for vmac in vmacs:
+        table.install(FlowRule(priority, HeaderMatch(dstmac=vmac), out))
+    assert 3_900 <= len(table) <= 4_200
+    packets = [
+        Packet(
+            port=rng.choice(ports),
+            dstmac=rng.choice(vmacs),
+            srcip=IPv4Address(rng.getrandbits(32)),
+            dstip="10.0.0.1",
+            dstport=rng.choice((22, 80, 443, 8080)),
+        )
+        for _ in range(64)
+    ]
+    rules = list(table)
+
+    def first_match(packet):
+        return next((rule for rule in rules if rule.match.matches(packet)), None)
+
+    assert [table.lookup(packet) for packet in packets] == [
+        first_match(packet) for packet in packets
+    ]
+    hits = benchmark(lambda: [table.lookup(packet) for packet in packets])
+    assert all(hit is not None for hit in hits)
+
+
+def test_fastpath_additional_rules_cookie_index(benchmark):
+    # Regression guard: additional_rules() sums the per-cookie counts of
+    # the table's cookie index, so its cost follows the active fast-path
+    # cookies and never visits the 2000 base-table rules below.  (Its
+    # first form rebuilt set(self._active.values()) for every table
+    # entry, turning a whole-table scan quadratic.)
     from types import SimpleNamespace
 
     from repro.core.incremental import FastPathEngine

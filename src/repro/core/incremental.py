@@ -131,10 +131,15 @@ class FastPathEngine:
         return dict(self._vnhs)
 
     def additional_rules(self) -> int:
-        """Extra (fast-path) rules in the switch right now — Figure 9's metric."""
+        """Extra (fast-path) rules in the switch right now — Figure 9's metric.
+
+        Counted per active cookie from the table's cookie index, so the
+        cost follows the fast-path state, not the table size.
+        """
         table = self._controller.switch.table
-        cookies = set(self._active.values())
-        return sum(1 for rule in table if rule.cookie in cookies)
+        return sum(
+            len(table.rules_for_cookie(cookie)) for cookie in set(self._active.values())
+        )
 
     # -- update handling ----------------------------------------------------
 
