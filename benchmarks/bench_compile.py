@@ -40,7 +40,7 @@ from _report import emit
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Announcement, BGPUpdate
 from repro.bgp.route_server import RouteServer
-from repro.core.compiler import CompilationOptions, SDXCompiler
+from repro.core.compiler import SDXCompiler
 from repro.core.participant import SDXPolicySet
 from repro.ixp.topology import IXPConfig
 from repro.netutils.ip import IPv4Prefix
@@ -164,12 +164,7 @@ def measure_mode(vmac_mode, config, route_server, policies):
     latencies = []
     result = None
     for _ in range(MEASURE_ROUNDS):
-        compiler = SDXCompiler(
-            config,
-            route_server,
-            CompilationOptions(build_advertisements=False),
-            vmac_mode=vmac_mode,
-        )
+        compiler = SDXCompiler(config, route_server, vmac_mode=vmac_mode)
         started = time.perf_counter()
         result = compiler.compile(policies)
         latencies.append(time.perf_counter() - started)

@@ -37,10 +37,11 @@ class ASPath:
     __slots__ = ("_asns",)
 
     def __init__(self, asns: Iterable[int] = ()) -> None:
-        self._asns: Tuple[int, ...] = tuple(int(asn) for asn in asns)
-        for asn in self._asns:
-            if not 0 < asn < (1 << 32):
-                raise ValueError(f"AS number out of range: {asn}")
+        self._asns: Tuple[int, ...] = tuple(map(int, asns))
+        if self._asns and not (0 < min(self._asns) and max(self._asns) < (1 << 32)):
+            for asn in self._asns:
+                if not 0 < asn < (1 << 32):
+                    raise ValueError(f"AS number out of range: {asn}")
 
     @property
     def asns(self) -> Tuple[int, ...]:
@@ -143,14 +144,15 @@ class RouteAttributes:
         local_pref: int = 100,
         communities: Iterable[Union[str, Tuple[int, int], Community]] = (),
     ) -> None:
+        # Immutable values given in their own type are shared, not copied.
         self.as_path = as_path if isinstance(as_path, ASPath) else ASPath(as_path)
-        self.next_hop = IPv4Address(next_hop)
-        self.origin = Origin(origin)
+        self.next_hop = (
+            next_hop if type(next_hop) is IPv4Address else IPv4Address(next_hop)
+        )
+        self.origin = origin if type(origin) is Origin else Origin(origin)
         self.med = int(med)
         self.local_pref = int(local_pref)
-        self.communities: FrozenSet[Community] = frozenset(
-            community(c) for c in communities
-        )
+        self.communities: FrozenSet[Community] = frozenset(map(community, communities))
 
     def replace(self, **updates) -> "RouteAttributes":
         """Return a copy with the given attributes replaced.

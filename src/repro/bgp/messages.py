@@ -33,7 +33,7 @@ class Announcement:
         attributes: RouteAttributes,
         export_to: Optional[Iterable[str]] = None,
     ) -> None:
-        self.prefix = IPv4Prefix(prefix)
+        self.prefix = prefix if type(prefix) is IPv4Prefix else IPv4Prefix(prefix)
         self.attributes = attributes
         self.export_to: Optional[FrozenSet[str]] = (
             None if export_to is None else frozenset(export_to)

@@ -90,9 +90,6 @@ class CompilationOptions(NamedTuple):
     disjoint_concat: bool = True
     #: cache policy-AST compilations and reuse second-stage blocks
     memoize: bool = True
-    #: build the per-(participant, prefix) advertisement map; headless
-    #: scaling experiments turn this off (they never push routes)
-    build_advertisements: bool = True
 
 
 class CompilationStats(NamedTuple):
@@ -122,7 +119,9 @@ class CompilationResult(NamedTuple):
     fec_table: FECTable
     stage1: Classifier
     stage2_blocks: Mapping[Any, Classifier]
-    advertised_next_hops: Mapping[Tuple[str, IPv4Prefix], IPv4Address]
+    #: prefix -> VNH for policy-affected prefixes only; every other
+    #: prefix is re-advertised with its best route's real next-hop
+    advertised_next_hops: Mapping[IPv4Prefix, IPv4Address]
     stats: CompilationStats
     segments: Tuple[Tuple[Any, Classifier], ...] = ()
     #: multi-table layout: segment label -> (table id, goto table);
@@ -383,11 +382,7 @@ class SDXCompiler:
             segments = [(("all",), final)]
         compose_seconds = self._now() - phase
 
-        advertised = (
-            self._advertised_next_hops(fec_table)
-            if self.options.build_advertisements
-            else {}
-        )
+        advertised = self._advertised_next_hops(fec_table)
         total = self._now() - started
         stats = CompilationStats(
             policy_compile_seconds=policy_compile_seconds,
@@ -479,20 +474,16 @@ class SDXCompiler:
 
     def _advertised_next_hops(
         self, fec_table: FECTable
-    ) -> Dict[Tuple[str, IPv4Prefix], IPv4Address]:
-        """Next-hop values for every (participant, prefix) re-advertisement.
+    ) -> Dict[IPv4Prefix, IPv4Address]:
+        """The VNH each policy-affected prefix is re-advertised with.
 
-        Policy-affected prefixes get their FEC's VNH; everything else
-        keeps the announcing router's real next-hop, so the route server
-        "simply behaves like a normal route server" for them.
+        The VNH is the same for every participant, and prefixes no
+        policy touches need no entry: for them the route server "simply
+        behaves like a normal route server" and re-advertises the best
+        route's real next-hop.
         """
-        advertised: Dict[Tuple[str, IPv4Prefix], IPv4Address] = {}
-        for name in self.config.participant_names():
-            loc_rib = self.route_server.loc_rib(name)
-            for prefix, route in loc_rib.items():
-                group = fec_table.group_for(prefix)
-                if group is not None and group.is_affected:
-                    advertised[(name, prefix)] = group.vnh.address
-                else:
-                    advertised[(name, prefix)] = route.attributes.next_hop
-        return advertised
+        return {
+            prefix: group.vnh.address
+            for group in fec_table.affected_groups
+            for prefix in group.prefixes
+        }

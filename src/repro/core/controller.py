@@ -238,7 +238,10 @@ class SDXController:
         self._routers: Dict[str, BorderRouter] = {}
         self._last_result: Optional[CompilationResult] = None
         self._base_cookies: List[Tuple] = []
-        self._advertised: Dict[Tuple[str, IPv4Prefix], IPv4Address] = {}
+        #: prefix -> VNH for policy-affected prefixes (iSDX's
+        #: ``prefix_2_VNH``); a prefix with no entry is re-advertised
+        #: with its best route's real next-hop
+        self._advertised: Dict[IPv4Prefix, IPv4Address] = {}
         self._fast_path_log: List[FastPathUpdate] = []
         self._quarantined: Dict[str, QuarantineRecord] = {}
         self._commit_hooks: List[Callable[[CompilationResult], None]] = []
@@ -489,7 +492,7 @@ class SDXController:
         """Best routes re-advertised to ``name``, next-hops VNH-rewritten."""
         out: List[Announcement] = []
         for announcement in self.route_server.advertisements(name):
-            rewritten = self._advertised.get((name, announcement.prefix))
+            rewritten = self._advertised.get(announcement.prefix)
             if rewritten is not None:
                 out.append(
                     Announcement(
@@ -515,7 +518,7 @@ class SDXController:
         best = self.route_server.best_route(name, prefix)
         if best is None:
             return None
-        rewritten = self._advertised.get((name, prefix))
+        rewritten = self._advertised.get(prefix)
         return rewritten if rewritten is not None else best.attributes.next_hop
 
     def readvertise_prefix(
@@ -523,24 +526,23 @@ class SDXController:
     ) -> None:
         """Update one prefix's advertised next-hop everywhere (fast path).
 
-        ``vnh_address`` of ``None`` falls back to the best route's real
-        next-hop (or withdraws the prefix from routers when no route
-        remains).
+        ``vnh_address`` of ``None`` falls back to each participant's
+        best route's real next-hop (or withdraws the prefix from routers
+        when no route remains).
         """
-        for name in self.config.participant_names():
+        if vnh_address is None:
+            self._advertised.pop(prefix, None)
+        else:
+            self._advertised[prefix] = vnh_address
+        for name, router in self._routers.items():
             best = self.route_server.best_route(name, prefix)
             if best is None:
-                self._advertised.pop((name, prefix), None)
+                router.withdraw_route(prefix)
             else:
-                self._advertised[(name, prefix)] = (
-                    vnh_address if vnh_address is not None else best.attributes.next_hop
+                router.install_route(
+                    prefix,
+                    vnh_address if vnh_address is not None else best.attributes.next_hop,
                 )
-            router = self._routers.get(name)
-            if router is not None:
-                if best is None:
-                    router.withdraw_route(prefix)
-                else:
-                    router.install_route(prefix, self._advertised[(name, prefix)])
 
     def _push_routes_to(self, name: str) -> None:
         router = self._routers.get(name)
@@ -549,9 +551,7 @@ class SDXController:
         desired: Dict[IPv4Prefix, IPv4Address] = {}
         loc_rib = self.route_server.loc_rib(name)
         for prefix, route in loc_rib.items():
-            desired[prefix] = self._advertised.get(
-                (name, prefix), route.attributes.next_hop
-            )
+            desired[prefix] = self._advertised.get(prefix, route.attributes.next_hop)
         current = router.rib_snapshot()
         for prefix in current:
             if prefix not in desired:

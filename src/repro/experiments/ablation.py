@@ -45,14 +45,10 @@ class AblationResult(NamedTuple):
 
 
 _CONFIGS: Dict[str, CompilationOptions] = {
-    "all optimizations": CompilationOptions(build_advertisements=False),
-    "no target pruning": CompilationOptions(
-        prune_targets=False, build_advertisements=False
-    ),
-    "no disjoint concat": CompilationOptions(
-        disjoint_concat=False, build_advertisements=False
-    ),
-    "no memoization": CompilationOptions(memoize=False, build_advertisements=False),
+    "all optimizations": CompilationOptions(),
+    "no target pruning": CompilationOptions(prune_targets=False),
+    "no disjoint concat": CompilationOptions(disjoint_concat=False),
+    "no memoization": CompilationOptions(memoize=False),
 }
 
 

@@ -9,7 +9,7 @@ integration tests all exercise identical code paths.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.bgp.route_server import RouteServer
 from repro.core.compiler import CompilationOptions, SDXCompiler
@@ -40,17 +40,15 @@ class Scenario(NamedTuple):
 
     def compiler(
         self,
-        options: Optional[CompilationOptions] = None,
+        options: CompilationOptions = CompilationOptions(),
         telemetry=None,
     ) -> SDXCompiler:
-        """A compiler over this scenario (headless defaults).
+        """A compiler over this scenario.
 
         Pass a :class:`~repro.telemetry.MetricsRegistry` to time the
         compile through the telemetry layer (what the Figure 8 driver
         does) instead of leaving it uninstrumented.
         """
-        if options is None:
-            options = CompilationOptions(build_advertisements=False)
         return SDXCompiler(
             self.ixp.config, self.route_server, options, telemetry=telemetry
         )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.core.compiler import CompilationOptions
 from repro.experiments.common import build_scenario, print_table, scaling_policies
 from repro.telemetry import MetricsRegistry
 
@@ -101,9 +100,7 @@ def run_sweep(
             # telemetry totals, so the driver and a production scrape
             # report identical figures.
             telemetry = MetricsRegistry()
-            compiler = scenario.compiler(
-                CompilationOptions(build_advertisements=False), telemetry=telemetry
-            )
+            compiler = scenario.compiler(telemetry=telemetry)
             compiler.compile(policies)
             points.append(
                 ScalingPoint(

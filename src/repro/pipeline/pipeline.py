@@ -155,8 +155,6 @@ class CompilationPipeline:
         self._vnh_meta: Dict[FrozenSet[IPv4Prefix], Tuple[Tuple, int]] = {}
         #: VNHs superseded by a compile, released after its commit
         self._pending_release: List[VirtualNextHop] = []
-        #: advertisement map cache (valid while routes/VNHs unchanged)
-        self._advert_cache: Optional[Dict[Tuple[str, IPv4Prefix], IPv4Address]] = None
 
         telemetry = controller.telemetry
         self._m_stage = telemetry.histogram(
@@ -346,7 +344,7 @@ class CompilationPipeline:
         for name, prefixes in originated.items():
             if prefixes:
                 policy_groups.append(frozenset(prefixes))
-        fec_table, fec_changed = self._reconcile_fec(
+        fec_table = self._reconcile_fec(
             policy_groups, compiler._fingerprint, controller.allocator
         )
         ranked_cache: Dict[int, Tuple[Route, ...]] = {}
@@ -545,12 +543,7 @@ class CompilationPipeline:
         stage1 = concat_disjoint([block for _, block in labeled_blocks])
         final = concat_disjoint([segment for _, segment in segments])
 
-        if controller.options.build_advertisements:
-            if self._advert_cache is None or self.dirty.routes or fec_changed:
-                self._advert_cache = compiler._advertised_next_hops(fec_table)
-            advertised = self._advert_cache
-        else:
-            advertised = {}
+        advertised = compiler._advertised_next_hops(fec_table)
         assemble_seconds = compiler._now() - phase
         self._m_stage.observe(assemble_seconds, stage="assemble")
 
@@ -618,7 +611,7 @@ class CompilationPipeline:
         policy_groups: List[FrozenSet[IPv4Prefix]],
         fingerprint,
         allocator: VirtualNextHopAllocator,
-    ) -> Tuple[FECTable, bool]:
+    ) -> FECTable:
         """The Section 4.2 partition, reusing VNHs for surviving groups.
 
         Bucket enumeration replicates ``compute_fec_table`` exactly
@@ -639,7 +632,6 @@ class CompilationPipeline:
         ordered = sorted(buckets.items(), key=lambda item: sorted(map(str, item[1])))
 
         encoder = self.controller.superset_encoder
-        changed = False
         # encode() can trigger a full registry recomputation mid-pass
         # (superset id-space overflow), invalidating encodings reused
         # earlier in the same loop — rerun until the epoch is stable.
@@ -663,17 +655,14 @@ class CompilationPipeline:
                         # re-ARP onto a correctly encoded address.
                         self._pending_release.append(self._vnh_by_key.pop(key))
                         vnh = None
-                        changed = True
                     if vnh is None:
                         hardware = encoder.encode(*inputs)
                         vnh = allocator.allocate(hardware)
                         self._vnh_by_key[key] = vnh
                         self._vnh_meta[key] = (inputs, encoder.epoch)
-                        changed = True
                 elif vnh is None:
                     vnh = allocator.allocate()
                     self._vnh_by_key[key] = vnh
-                    changed = True
                 groups.append(PrefixGroup(group_id, key, vnh))
             if encoder is None or encoder.epoch == epoch_at_start:
                 break
@@ -681,8 +670,7 @@ class CompilationPipeline:
             if key not in live_keys:
                 self._pending_release.append(self._vnh_by_key.pop(key))
                 self._vnh_meta.pop(key, None)
-                changed = True
-        return FECTable(groups), changed
+        return FECTable(groups)
 
     def _build_rib_views(
         self, reachable_maps, fec_table, ranked_routes

@@ -24,6 +24,20 @@ class TestASPath:
         with pytest.raises(ValueError):
             ASPath([1 << 32])
 
+    def test_out_of_range_asn_is_named(self):
+        # the first bad ASN in path order is the one reported
+        with pytest.raises(ValueError, match=r"out of range: 4294967296$"):
+            ASPath([65001, 1 << 32, -1])
+        with pytest.raises(ValueError, match=r"out of range: -1$"):
+            ASPath([65001, -1, 1 << 32])
+        with pytest.raises(ValueError, match=r"out of range: 0$"):
+            ASPath(["65001", "0"])
+        with pytest.raises(ValueError):
+            ASPath(["not-an-asn"])
+        with pytest.raises(TypeError):
+            ASPath([None])
+        assert list(ASPath(["1", 4294967295])) == [1, 4294967295]
+
     def test_prepend(self):
         path = ASPath([65002]).prepend(65001, count=2)
         assert list(path) == [65001, 65001, 65002]
@@ -100,6 +114,35 @@ class TestRouteAttributes:
         assert self.make() == self.make()
         assert self.make() != self.make(med=10)
         assert len({self.make(), self.make()}) == 1
+
+    def test_rejects_bad_origin(self):
+        with pytest.raises(ValueError):
+            self.make(origin=3)
+        with pytest.raises(ValueError):
+            self.make(origin="IGP")
+        assert self.make(origin=1).origin is Origin.EGP
+
+    def test_rejects_bad_next_hop(self):
+        with pytest.raises(ValueError):
+            self.make(next_hop="300.0.0.1")
+        with pytest.raises(ValueError):
+            self.make(next_hop=-1)
+        with pytest.raises(TypeError):
+            self.make(next_hop=1.5)
+        with pytest.raises(TypeError):
+            self.make(next_hop=None)
+
+    def test_rejects_bad_community(self):
+        with pytest.raises(ValueError):
+            self.make(communities=["65000:70000"])
+
+    def test_values_of_their_own_type_are_shared(self):
+        next_hop = IPv4Address("172.0.0.1")
+        path = ASPath([65001])
+        attrs = self.make(as_path=path, next_hop=next_hop, origin=Origin.EGP)
+        assert attrs.next_hop is next_hop and attrs.as_path is path
+        assert attrs.origin is Origin.EGP
+        assert self.make(next_hop=0xAC000001).next_hop == next_hop
 
     def test_origin_ordering(self):
         assert Origin.IGP < Origin.EGP < Origin.INCOMPLETE

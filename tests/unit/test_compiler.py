@@ -40,24 +40,25 @@ class TestCompile:
 
     def test_advertised_next_hops_rewritten_for_affected(self, compiler):
         result = compiler.compile(POLICIES)
-        vnh = result.advertised_next_hops[("A", IPv4Prefix(P1))]
+        vnh = result.advertised_next_hops[IPv4Prefix(P1)]
         assert vnh in compiler.config.vnh_pool  # a VNH, not 172.0.0.x
 
     def test_advertised_next_hops_original_for_unaffected(self, figure1_controller):
-        # without policies nothing is affected: next hops untouched
+        # without policies nothing is affected: no override, so every
+        # participant is told its best route's real next hop
         compiler = SDXCompiler(figure1_controller.config, figure1_controller.route_server)
         result = compiler.compile({})
-        next_hop = result.advertised_next_hops[("A", IPv4Prefix(P1))]
-        assert next_hop not in compiler.config.vnh_pool
+        assert IPv4Prefix(P1) not in result.advertised_next_hops
+        best = compiler.route_server.best_route("A", IPv4Prefix(P1))
+        assert best.attributes.next_hop not in compiler.config.vnh_pool
 
-    def test_no_advertisements_option(self, figure1_controller):
-        compiler = SDXCompiler(
-            figure1_controller.config,
-            figure1_controller.route_server,
-            CompilationOptions(build_advertisements=False),
-        )
+    def test_advertised_next_hops_cover_only_affected_prefixes(self, compiler):
         result = compiler.compile(POLICIES)
-        assert result.advertised_next_hops == {}
+        # A's policy touches p1-p4; p5 is A's own prefix and stays plain BGP
+        advertised = result.advertised_next_hops
+        assert set(advertised) == {IPv4Prefix(p) for p in (P1, P2, P3, P4)}
+        for prefix, vnh in advertised.items():
+            assert vnh == result.fec_table.vnh_for(prefix).address
 
     def test_stats_populated(self, compiler):
         result = compiler.compile(POLICIES)
@@ -107,9 +108,12 @@ class TestOptionEquivalence:
             sender = controller.config.owner_of_port(packet["port"]).name
             dstip = packet["dstip"]
             prefix = IPv4Prefix(int(dstip) & 0xFFFF0000, 16)
-            next_hop = result.advertised_next_hops.get((sender, prefix))
+            next_hop = result.advertised_next_hops.get(prefix)
             if next_hop is None:
-                continue
+                best = controller.route_server.best_route(sender, prefix)
+                if best is None:
+                    continue
+                next_hop = best.attributes.next_hop
             vmac = controller.allocator.resolve(next_hop)
             if vmac is None:
                 owner = controller.config.owner_of_address(next_hop)

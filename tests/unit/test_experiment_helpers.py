@@ -29,11 +29,6 @@ class TestBuildScenario:
         assert len(controller.route_server.all_prefixes()) == 100
         assert controller.policy.policies().keys() == scenario.workload.policies.keys()
 
-    def test_compiler_factory_defaults_headless(self):
-        scenario = build_scenario(participants=10, prefixes=100, seed=9)
-        compiler = scenario.compiler()
-        assert compiler.options.build_advertisements is False
-
 
 class TestScalingPolicies:
     def test_policy_prefix_budget_respected(self):

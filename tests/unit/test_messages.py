@@ -1,5 +1,7 @@
 """Unit tests for BGP messages and routes."""
 
+import pytest
+
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Announcement, BGPUpdate, Route, Withdrawal
 from repro.netutils.ip import IPv4Prefix
@@ -13,6 +15,12 @@ class TestAnnouncement:
     def test_prefix_coercion(self):
         announcement = Announcement("10.0.0.0/8", attrs())
         assert announcement.prefix == IPv4Prefix("10.0.0.0/8")
+
+    def test_prefix_object_is_shared(self):
+        prefix = IPv4Prefix("10.0.0.0/8")
+        assert Announcement(prefix, attrs()).prefix is prefix
+        with pytest.raises(ValueError):
+            Announcement("10.0.0.0/33", attrs())
 
     def test_export_to_everyone_by_default(self):
         announcement = Announcement("10.0.0.0/8", attrs())
