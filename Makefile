@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test property integration chaos bench bench-guard guard-gate bench-compile compile-gate bench-latency latency-gate bench-churn churn-gate churn-replay bench-federation bench-loop experiments quick examples metrics verify-fuzz clean
+.PHONY: install test property integration chaos bench bench-guard guard-gate bench-compile compile-gate bench-churn churn-gate churn-replay bench-federation bench-loop experiments quick examples metrics verify-fuzz clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -37,12 +37,6 @@ compile-gate:
 bench-federation:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_federation.py
 
-bench-latency:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_latency.py --emit benchmarks/BENCH_latency.json
-
-latency-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_latency.py --check benchmarks/BENCH_latency.json
-
 bench-churn:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_churn.py --emit benchmarks/BENCH_churn.json
 
@@ -50,7 +44,7 @@ churn-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_churn.py --check benchmarks/BENCH_churn.json
 
 churn-replay:
-	PYTHONPATH=src REPRO_RUNTIME=eventloop $(PYTHON) -m repro.workloads \
+	PYTHONPATH=src $(PYTHON) -m repro.workloads \
 		--fixture ixp_small --scenario failover-storm --scenario stuck-routes \
 		--scenario correlated-withdrawal
 

@@ -92,7 +92,6 @@ def _controller(ixp):
     controller = SDXController(
         ixp.config,
         sdx=SDXConfig(
-            runtime_mode="eventloop",
             runtime_config=RuntimeConfig(coalesce=True),
             guard=GuardConfig(probe_budget=PROBE_BUDGET, seed=SEED),
         ),

@@ -35,7 +35,7 @@ from typing import Any, Mapping, NamedTuple, Optional, Tuple
 from repro.core.supersets import VMAC_MODES
 from repro.dataplane.flowtable import DATAPLANE_MODES
 from repro.guard import AdmissionConfig, GuardConfig
-from repro.runtime import RUNTIME_MODES, RuntimeConfig
+from repro.runtime import RuntimeConfig
 
 __all__ = ["KNOBS", "Knob", "SDXConfig", "knob_table_markdown"]
 
@@ -76,14 +76,13 @@ KNOBS: Tuple[Knob, ...] = (
     ),
     Knob(
         "runtime_mode",
-        "REPRO_RUNTIME",
-        "inline",
-        "`inline`, `eventloop`",
-        "Control-plane execution: facet calls apply synchronously, or "
-        "flow through the deterministic cooperative event loop — "
-        "bounded ingress queue, coalesced bursts, deferred guard "
-        'verification (see "Control-plane runtime" in '
-        "`docs/internals.md`)",
+        None,
+        "eventloop",
+        "`eventloop`",
+        "Control-plane execution: the one value is the deterministic "
+        "cooperative event loop every controller runs (see "
+        '"Control-plane runtime" in `docs/internals.md`); kept only so '
+        "existing callers passing it keep working",
     ),
     Knob(
         "fast_path_enabled",
@@ -124,7 +123,7 @@ _KNOBS_BY_FIELD = {knob.field: knob for knob in KNOBS}
 _CHOICES = {
     "vmac_mode": VMAC_MODES,
     "dataplane_mode": DATAPLANE_MODES,
-    "runtime_mode": RUNTIME_MODES,
+    "runtime_mode": ("eventloop",),
 }
 
 
@@ -168,10 +167,10 @@ class SDXConfig:
     vmac_mode: Optional[str] = None
     #: ``single`` or ``multitable`` (``REPRO_DATAPLANE``)
     dataplane_mode: Optional[str] = None
-    #: ``inline`` or ``eventloop`` (``REPRO_RUNTIME``)
+    #: ``eventloop``, the only control-plane runtime (no environment
+    #: form); removable once no caller passes it
     runtime_mode: Optional[str] = None
-    #: event-loop tuning; only consulted when ``runtime_mode`` resolves
-    #: to ``eventloop``
+    #: event-loop runtime tuning (``None`` = the defaults)
     runtime_config: Optional[RuntimeConfig] = None
     #: guarded-commit configuration (``None`` = unguarded)
     guard: Optional[GuardConfig] = None
@@ -238,17 +237,17 @@ class SDXConfig:
     def resolved(self, env: Optional[Mapping[str, str]] = None) -> "SDXConfig":
         """Fill every unset field from the environment, then defaults.
 
-        The returned config has no ``None`` left in the env-backed
-        fields, and every environment value is validated with the
-        knob's name in the error message.  Defaults come from
+        The returned config has no ``None`` left in the mode fields,
+        and every environment value is validated with the knob's name
+        in the error message.  Defaults come from
         :data:`KNOBS`.  Idempotent.
         """
         source = os.environ if env is None else env
         filled = {}
         for knob in KNOBS:
-            if knob.env is None or getattr(self, knob.field) is not None:
+            if getattr(self, knob.field) is not None:
                 continue
-            raw = source.get(knob.env)
+            raw = None if knob.env is None else source.get(knob.env)
             if raw is None:
                 filled[knob.field] = knob.default
             elif knob.field in _CHOICES:

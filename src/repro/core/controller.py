@@ -18,12 +18,11 @@ policy and chain management, ``controller.ops`` for health, metrics,
 quarantine, and commit hooks.  The historical flat methods are gone —
 the facets are the supported surface.
 
-The control plane runs in one of two modes (``REPRO_RUNTIME`` or the
-``runtime_mode=`` knob): ``inline`` executes every facet call
-synchronously, while ``eventloop`` attaches a
+Every mutating call runs through ``controller.runtime``, one
 :class:`~repro.runtime.runtime.ControlPlaneRuntime` whose cooperative
-scheduler pipelines the update→compile→commit→verify path.  Both run
-the same apply bodies, so their flow tables are byte-identical.
+scheduler drives the update→compile→commit→verify path.  A single call
+auto-drains and returns its result; ``runtime.pipelined()`` batches a
+burst.
 
 Typical use::
 
@@ -55,11 +54,7 @@ from typing import (
 
 from repro.bgp.messages import Announcement
 from repro.bgp.route_server import BestPathChange, RouteServer
-from repro.core.compiler import (
-    CompilationOptions,
-    CompilationResult,
-    SDXCompiler,
-)
+from repro.core.compiler import CompilationResult, SDXCompiler
 from repro.core.facets import OpsFacet, PolicyFacet, RoutingFacet
 from repro.core.incremental import FastPathEngine, FastPathUpdate
 from repro.core.participant import ParticipantHandle, SDXPolicySet
@@ -143,7 +138,6 @@ class SDXController:
     def __init__(
         self,
         config: IXPConfig,
-        options: CompilationOptions = CompilationOptions(),
         fast_path_enabled: Optional[bool] = None,
         arp: Optional[ARPService] = None,
         ownership: Optional["OwnershipRegistry"] = None,
@@ -152,6 +146,7 @@ class SDXController:
         admission: Optional[AdmissionConfig] = None,
         vmac_mode: Optional[str] = None,
         dataplane_mode: Optional[str] = None,
+        # only "eventloop" is valid; kept for callers that still pass it
         runtime_mode: Optional[str] = None,
         runtime_config: Optional[RuntimeConfig] = None,
         runtime_clock: Optional["Simulator"] = None,
@@ -159,7 +154,6 @@ class SDXController:
     ) -> None:
         self.config = config
         self.ownership = ownership
-        self.options = options
         # Knob resolution happens in exactly one place: the per-knob
         # keyword arguments overlay onto the ``sdx`` config (explicit
         # argument wins), then every still-unset field resolves from
@@ -204,7 +198,6 @@ class SDXController:
         self.compiler = SDXCompiler(
             config,
             self.route_server,
-            options,
             telemetry=self.telemetry,
             vmac_mode=self.vmac_mode,
             encoder=self.superset_encoder,
@@ -274,14 +267,9 @@ class SDXController:
         self._deferred_depth = 0
         self._deferred_pending = False
 
-        #: control-plane runtime mode: "inline" (synchronous facet calls)
-        #: or "eventloop" (cooperative pipelined scheduler)
-        self.runtime_mode = self.sdx.runtime_mode
-        #: the event-loop runtime (None in inline mode)
-        self.runtime: Optional[ControlPlaneRuntime] = (
-            ControlPlaneRuntime(self, config=self.sdx.runtime_config, clock=runtime_clock)
-            if self.runtime_mode == "eventloop"
-            else None
+        #: the control-plane runtime every mutating facet call runs through
+        self.runtime = ControlPlaneRuntime(
+            self, config=self.sdx.runtime_config, clock=runtime_clock
         )
 
         for participant in config.participants():
@@ -331,16 +319,14 @@ class SDXController:
         reading ``.segments`` / ``.fec_table`` / ``.stats`` are
         unaffected.
 
-        Under the event-loop runtime an outside call submits a
+        An outside call submits a
         :class:`~repro.runtime.events.CompileEvent` and (auto-draining)
-        returns the same report; re-entrant calls — from inside the
-        loop's own machinery — run the synchronous body directly.
+        returns the report; re-entrant calls — from inside the loop's
+        own machinery — run the synchronous body directly.
         """
-        runtime = self.runtime
-        if runtime is not None and not runtime.active:
-            return runtime.submit_compile()
-        result = self.pipeline.compile()
-        return self._install(result)
+        if not self.runtime.active:
+            return self.runtime.submit_compile()
+        return self._install(self.pipeline.compile())
 
     def _maybe_compile(self, recompile: bool) -> None:
         """Mutator epilogue: compile now, or once at deferred-batch exit."""
@@ -349,12 +335,11 @@ class SDXController:
         if self._deferred_depth > 0:
             self._deferred_pending = True
             return
-        runtime = self.runtime
-        if runtime is not None and runtime.applying:
+        if self.runtime.applying:
             # Mid-apply on the runtime's ingress task: request a compile
             # job for the compile/commit tasks instead of recursing into
             # a synchronous compilation from inside the event loop.
-            runtime.request_compile()
+            self.runtime.request_compile()
             return
         self.compile()
 
@@ -579,17 +564,17 @@ class SDXController:
         then flow through the RFC 7606 guard, flap damping gates the
         fast path, and session hold/restart timers run on ``clock``.
 
-        Under the event-loop runtime, resilience timers default onto the
-        runtime's :class:`~repro.runtime.scheduler.TimerWheel`, so
-        session liveness, damping decay, and admission retries all share
-        one virtual clock that ``runtime.run_until`` advances.
+        Resilience timers default onto the runtime's
+        :class:`~repro.runtime.scheduler.TimerWheel`, so session
+        liveness, damping decay, and admission retries all share one
+        virtual clock that ``runtime.run_until`` advances.
         """
         from repro.resilience import ResilienceCoordinator
 
         explicit_clock = clock is not None
-        if clock is None and self.runtime is not None:
-            clock = self.runtime.timers
-        self.resilience = ResilienceCoordinator(self, clock=clock, **configs)
+        self.resilience = ResilienceCoordinator(
+            self, clock=clock if explicit_clock else self.runtime.timers, **configs
+        )
         if explicit_clock:
             # Simulated deployments should report every duration on the
             # sim clock, so compile/fast-path timings and damping decay
@@ -644,11 +629,7 @@ class SDXController:
             admission=(
                 self.admission.snapshot() if self.admission is not None else {}
             ),
-            runtime=(
-                self.runtime.health_info()
-                if self.runtime is not None
-                else {"mode": "inline"}
-            ),
+            runtime=self.runtime.health_info(),
         )
 
     # -- telemetry -----------------------------------------------------------------------
@@ -658,8 +639,7 @@ class SDXController:
         self._m_vnh.set(self.allocator.allocated)
         self._m_vnh_free.set(len(self.allocator._free))
         self.fast_path._sync_gauges()
-        if self.runtime is not None:
-            self.runtime.refresh_gauges()
+        self.runtime.refresh_gauges()
 
     # -- diagnostics and accounting ------------------------------------------------------
 

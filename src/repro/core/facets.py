@@ -24,14 +24,13 @@ The facets are *the* controller API: the historical flat methods (and
 their deprecation-warning shims) are gone.
 
 Every mutating entry point is split in two: a module-level ``_apply_*``
-function holding the actual body, and the facet method that routes to
-it.  With ``REPRO_RUNTIME=inline`` (the default) the facet calls the
-body synchronously; with ``eventloop`` it submits a typed event to
-``controller.runtime`` and the runtime's ingress task calls the *same*
-body — same code, different scheduling, which is what makes the two
-modes byte-identical (``tests/property/test_runtime_equivalence.py``).
-Either way the update→install latency lands on the
-``sdx_update_install_seconds`` histogram, labelled by event kind.
+function holding the actual body, and the facet method that submits a
+typed event to ``controller.runtime``, whose ingress task calls the
+body (see :mod:`repro.runtime`).  Outside ``runtime.pipelined()`` a
+submission auto-drains, so the facet call still returns the body's
+result (or raises its error) once the work is installed; the
+update→install latency lands on the ``sdx_update_install_seconds``
+histogram, labelled by event kind.
 """
 
 from __future__ import annotations
@@ -70,10 +69,10 @@ __all__ = ["OpsFacet", "PolicyFacet", "RoutingFacet"]
 # Shared apply bodies.
 #
 # These module-level functions are the single implementation of every
-# mutating control-plane operation.  Inline mode calls them directly
-# (wrapped in latency observation); the event-loop runtime calls them
-# from its ingress task via the typed events in repro.runtime.events.
-# They must stay free of runtime/facet knowledge so the two schedules
+# mutating control-plane operation.  The runtime calls them from its
+# ingress task via the typed events in repro.runtime.events (or directly,
+# for a re-entrant call from inside the loop).  They stay free of
+# runtime/facet knowledge, so pipelined and auto-drained submissions
 # execute identical code.
 # ---------------------------------------------------------------------------
 
@@ -170,19 +169,6 @@ def _apply_release_quarantine(
     return released
 
 
-def _inline(controller: "SDXController", kind: str, fn: Callable[[], Any]):
-    """Run an apply body synchronously, observing update→install latency
-    (the event-loop runtime observes the same histogram at completion)."""
-    telemetry = controller.telemetry
-    started = telemetry.now()
-    try:
-        return fn()
-    finally:
-        controller._m_install_latency.observe(
-            telemetry.now() - started, kind=kind
-        )
-
-
 class _Facet:
     """Base: a named view over one controller's state."""
 
@@ -215,18 +201,11 @@ class RoutingFacet(_Facet):
         :class:`~repro.guard.admission.AnnouncementRateExceeded` (with
         ``retry_after``) before the route server sees anything.
 
-        Under ``REPRO_RUNTIME=eventloop`` the update is submitted to the
-        runtime's bounded ingress queue instead; outside a
-        ``runtime.pipelined()`` block the call still blocks until the
-        update is fully installed and returns the same changes.
+        The update is submitted to the runtime's bounded ingress queue;
+        outside a ``runtime.pipelined()`` block the call blocks until
+        the update is fully installed and returns the changes.
         """
-        controller = self._controller
-        runtime = controller.runtime
-        if runtime is not None:
-            return runtime.submit_update(update)
-        return _inline(
-            controller, "update", lambda: _apply_process_update(controller, update)
-        )
+        return self._controller.runtime.submit_update(update)
 
     def batched_updates(self):
         """Context manager coalescing a BGP burst's fast-path work.
@@ -269,25 +248,11 @@ class RoutingFacet(_Facet):
         When the controller was built with an ownership registry (the
         RPKI stand-in), the participant must hold a covering ROA.
         """
-        controller = self._controller
-        runtime = controller.runtime
-        if runtime is not None:
-            return runtime.submit_originate(name, prefix)
-        return _inline(
-            controller, "originate", lambda: _apply_originate(controller, name, prefix)
-        )
+        return self._controller.runtime.submit_originate(name, prefix)
 
     def withdraw_origination(self, name: str, prefix: "IPv4Prefix | str") -> None:
         """Withdraw a previously originated prefix."""
-        controller = self._controller
-        runtime = controller.runtime
-        if runtime is not None:
-            return runtime.submit_withdraw_origination(name, prefix)
-        return _inline(
-            controller,
-            "originate",
-            lambda: _apply_withdraw_origination(controller, name, prefix),
-        )
+        return self._controller.runtime.submit_withdraw_origination(name, prefix)
 
     def originated(self) -> Mapping[str, FrozenSet[IPv4Prefix]]:
         """Prefixes the SDX currently originates, per participant."""
@@ -329,16 +294,8 @@ class PolicyFacet(_Facet):
         budget; a typed :class:`~repro.guard.admission.AdmissionError`
         rejection leaves every controller structure untouched.
         """
-        controller = self._controller
-        runtime = controller.runtime
-        if runtime is not None:
-            return runtime.submit_policies(name, policy_set, recompile=recompile)
-        return _inline(
-            controller,
-            "policy",
-            lambda: _apply_set_policies(
-                controller, name, policy_set, recompile=recompile
-            ),
+        return self._controller.runtime.submit_policies(
+            name, policy_set, recompile=recompile
         )
 
     def policies(self) -> Mapping[str, "SDXPolicySet"]:
@@ -349,27 +306,11 @@ class PolicyFacet(_Facet):
 
     def define_chain(self, chain: "ServiceChain", recompile: bool = False) -> None:
         """Register a middlebox service chain participants may ``fwd()`` into."""
-        controller = self._controller
-        runtime = controller.runtime
-        if runtime is not None:
-            return runtime.submit_define_chain(chain, recompile=recompile)
-        return _inline(
-            controller,
-            "chain",
-            lambda: _apply_define_chain(controller, chain, recompile=recompile),
-        )
+        return self._controller.runtime.submit_define_chain(chain, recompile=recompile)
 
     def remove_chain(self, name: str, recompile: bool = False) -> None:
         """Deregister a service chain (idempotent)."""
-        controller = self._controller
-        runtime = controller.runtime
-        if runtime is not None:
-            return runtime.submit_remove_chain(name, recompile=recompile)
-        return _inline(
-            controller,
-            "chain",
-            lambda: _apply_remove_chain(controller, name, recompile=recompile),
-        )
+        return self._controller.runtime.submit_remove_chain(name, recompile=recompile)
 
     def chains(self) -> Mapping[str, "ServiceChain"]:
         """The registered service chains, by name."""
@@ -446,14 +387,8 @@ class OpsFacet(_Facet):
 
     def release_quarantine(self, name: str, recompile: bool = True) -> bool:
         """Re-admit a quarantined participant's policies (operator action)."""
-        controller = self._controller
-        runtime = controller.runtime
-        if runtime is not None:
-            return runtime.submit_release_quarantine(name, recompile=recompile)
-        return _inline(
-            controller,
-            "ops",
-            lambda: _apply_release_quarantine(controller, name, recompile=recompile),
+        return self._controller.runtime.submit_release_quarantine(
+            name, recompile=recompile
         )
 
     # -- verification (the repro.verify oracle) ----------------------------

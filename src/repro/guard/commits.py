@@ -411,7 +411,7 @@ class CommitGuard:
         same focus set, same fail-open handling of probe-infrastructure
         errors — but a mismatch can't abort an open transaction anymore,
         so recovery rolls the fabric back from the snapshot captured in
-        ``pending`` (and then raises, exactly like the inline path).
+        ``pending`` (and then raises, like the in-transaction path).
         """
         controller = self.controller
         seq = pending.commit_seq

@@ -24,17 +24,19 @@ the old ``SDXController`` with explicit stages:
    dashboards keep working).
 
 A shard failure quarantines its participant and restarts the pass
-(the FEC partition must be recomputed without the culprit's groups),
-mirroring the old retry-without-culprit loop without its O(N) probe
-compiles.  Failures in the shared segments are unattributable and
-propagate.
+(the FEC partition must be recomputed without the culprit's groups);
+the shard itself names the culprit, so no probe compiles are needed.
+Failures in the shared segments are unattributable and propagate.
 
-Fresh-cache compilations are *byte-identical* to the legacy
-``SDXCompiler.compile``: extraction runs in the same order, the
-partition enumerates buckets with the same sort key, and new VNHs are
-allocated in the same sequence.  Incremental compilations stay
-byte-identical to a legacy compile replaying the same VNH assignment
-(see ``tests/property/test_pipeline_equivalence.py``).
+The pipeline always composes with every §4.3.1 optimisation on; the
+ablations (``CompilationOptions``) live only on a standalone
+:class:`~repro.core.compiler.SDXCompiler`.  Fresh-cache compilations
+are *byte-identical* to the reference ``SDXCompiler.compile``:
+extraction runs in the same order, the partition enumerates buckets
+with the same sort key, and new VNHs are allocated in the same
+sequence.  Incremental compilations stay byte-identical to a reference
+compile replaying the same VNH assignment (see
+``tests/property/test_pipeline_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from typing import (
     FrozenSet,
     Hashable,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Set,
@@ -239,10 +240,11 @@ class CompilationPipeline:
     # -- main entry point ---------------------------------------------------
 
     def compile(self) -> CompilationResult:
-        """Run the staged pipeline (or the legacy path for ablation options).
+        """Run the staged pipeline to completion.
 
-        Inline driver over :meth:`compile_steps`: the stage markers are
-        skipped and the generator runs to its return value.
+        Synchronous driver over :meth:`compile_steps` (for re-entrant
+        compiles inside the runtime): the stage markers are skipped and
+        the generator runs to its return value.
         """
         steps = self.compile_steps()
         while True:
@@ -260,15 +262,9 @@ class CompilationPipeline:
         bookkeeping) with this compilation.  Nothing may mutate
         controller state at a yield point — the runtime only runs
         side-effect-free work under an in-flight pass, which is what
-        keeps both drivers byte-identical.  The compiled result is the
-        generator's return value.
+        keeps pipelined and auto-drained schedules byte-identical.  The
+        compiled result is the generator's return value.
         """
-        options = self.controller.options
-        if not (options.prune_targets and options.disjoint_concat and options.memoize):
-            # The ablation configurations change the *shape* of the
-            # composition (full stage-2 scans, monolithic concat); the
-            # legacy compiler remains their reference implementation.
-            return self._compile_legacy()
         attempts = 0
         while True:
             attempts += 1
@@ -853,43 +849,3 @@ class CompilationPipeline:
         # guard quarantine it compiled fine but *misforwarded*, so the
         # cache entry is exactly what must not be replayed.
         self._shard_cache.pop(policy_label(name), None)
-
-    # -- legacy path (ablation options) -------------------------------------
-
-    def _compile_legacy(self) -> CompilationResult:
-        """The pre-pipeline compile loop, kept for ablation configurations."""
-        controller = self.controller
-        active = {
-            name: policy_set
-            for name, policy_set in controller._policies.items()
-            if name not in controller._quarantined
-        }
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return controller.compiler.compile(
-                    active,
-                    originated=controller.routing.originated(),
-                    allocator=controller.allocator,
-                    chains=controller._chains.values(),
-                )
-            except Exception as exc:  # noqa: BLE001 - diagnose and retry
-                culprit = self._diagnose_culprit(active)
-                if culprit is None:
-                    raise
-                self._quarantine(culprit, type(exc).__name__, str(exc), attempts)
-                active.pop(culprit)
-
-    def _diagnose_culprit(self, policies: Mapping[str, SDXPolicySet]) -> Optional[str]:
-        """Which single participant's policy set fails to compile alone?"""
-        controller = self.controller
-        probe_allocator = VirtualNextHopAllocator(controller.config.vnh_pool)
-        for name in sorted(policies):
-            try:
-                controller.compiler.compile(
-                    {name: policies[name]}, allocator=probe_allocator
-                )
-            except Exception:  # noqa: BLE001 - the probe's verdict is the point
-                return name
-        return None

@@ -184,9 +184,9 @@ class FabricCommitter:
         the commit completes, and the check is left on
         :meth:`pop_deferred_verification` for the runtime's verify task
         to run — overlapped with the next compilation.  ``verified`` is
-        then None on the returned report; the eventual
-        :class:`~repro.guard.commits.GuardReport` lands on
-        ``guard.last_report``.
+        then None on the returned report until the verify task fills in
+        the :class:`~repro.guard.commits.GuardReport` (also left on
+        ``guard.last_report``).
         """
         controller = self.pipeline.controller
         table = controller.switch.table

@@ -85,8 +85,8 @@ class ResilienceCoordinator:
         self,
         controller: "SDXController",
         # Simulator or anything duck-typing its scheduling surface —
-        # under REPRO_RUNTIME=eventloop the controller passes the
-        # runtime's TimerWheel so all timers share one virtual clock.
+        # the controller passes its runtime's TimerWheel unless given a
+        # clock, so all timers share one virtual clock.
         clock: Optional[Simulator] = None,
         liveness: Optional[LivenessConfig] = None,
         damping: Optional[DampingConfig] = None,

@@ -107,8 +107,8 @@ class HealthReport(NamedTuple):
     #: per-participant admission state (rejections, active backoff),
     #: only participants with any rejection history appear
     admission: Mapping[str, Mapping] = {}
-    #: control-plane runtime state: ``{"mode": "inline"}`` or the
-    #: event-loop runtime's queue depths / peak / rejection counters
+    #: control-plane runtime state: the event-loop runtime's mode,
+    #: queue depths, peak depth, rejection and in-flight counters
     runtime: Mapping[str, object] = {}
 
     @property

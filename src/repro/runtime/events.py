@@ -1,10 +1,10 @@
 """Typed control-plane events and their in-flight submission records.
 
 Every mutating facet entry point has an event class here whose
-``apply(controller)`` runs the *same* module-level ``_apply_*`` body the
-inline mode calls directly (see :mod:`repro.core.facets`) — the two
-runtime modes differ only in *when* that body runs, never in what it
-does, which is the heart of the byte-identical determinism argument.
+``apply(controller)`` runs the module-level ``_apply_*`` body of
+:mod:`repro.core.facets` — pipelined and auto-drained submissions
+differ only in *when* that body runs, never in what it does, which is
+the heart of the byte-identical determinism argument.
 
 A :class:`Submission` is the caller-visible handle: enqueue time (for
 the ``sdx_update_install_seconds`` latency histogram), completion flag,
@@ -192,8 +192,7 @@ class CompileEvent(_Event):
 
     ``apply`` only *requests* the compile job — the runtime's compile
     and commit tasks do the work — and the submission's result is the
-    job's :class:`~repro.dataplane.reconcile.CommitReport`, matching the
-    inline return value.
+    job's :class:`~repro.dataplane.reconcile.CommitReport`.
     """
 
     kind = "compile"

@@ -5,7 +5,7 @@ chain (update → route server → fast path → compile → guard → commit)
 into four cooperative tasks communicating through queues:
 
 * **ingress** — drains the bounded submission queue, applies each event
-  (the same ``_apply_*`` bodies inline mode calls), optionally
+  (the ``_apply_*`` bodies of :mod:`repro.core.facets`), optionally
   coalescing contiguous BGP bursts through ``UpdateIngress.batch``, and
   waits for any compile job an event requested;
 * **compile** — drives ``CompilationPipeline.compile_steps()``, yielding
@@ -19,10 +19,10 @@ into four cooperative tasks communicating through queues:
   table they are checking.
 
 Determinism: tasks resume in a fixed rotation on one thread, events
-apply in submission order at exactly the same points the inline mode
-applies them, and the guard's success path is side-effect-free — so
-``REPRO_RUNTIME=inline`` and ``eventloop`` produce *byte-identical*
-flow-table digests for the same seed and event trace (pinned by
+apply in submission order, each compile lands before the next event
+applies, and the guard's success path is side-effect-free — so a burst
+under ``pipelined()`` produces *byte-identical* flow-table digests to
+the same events submitted one auto-drained call at a time (pinned by
 ``tests/property/test_runtime_equivalence.py``).  The two sanctioned
 divergences are opt-in or failure-only: burst coalescing
 (``RuntimeConfig.coalesce``) changes fast-path sequence numbers and is
@@ -30,8 +30,8 @@ only forwarding-equivalent, and a deferred guard *violation* under
 ``pipelined()`` rolls back a commit that later events already built on.
 
 By default every facet submission auto-drains — enqueue, run the loop
-to quiescence, return the real result — so the synchronous API is
-preserved exactly.  :meth:`ControlPlaneRuntime.pipelined` opens burst
+to quiescence, return the real result — so the facet API stays
+synchronous.  :meth:`ControlPlaneRuntime.pipelined` opens burst
 mode: submissions return :class:`~repro.runtime.events.Submission`
 handles immediately and the loop pipelines ingress, compilation,
 commit, and verification until the block drains.
@@ -73,7 +73,7 @@ class RuntimeConfig(NamedTuple):
     #: coalesce contiguous queued BGP updates through UpdateIngress.batch
     #: — one deduplicated fast-path pass per burst.  Opt-in: coalescing
     #: changes fast-path sequence numbers (cookies), so the result is
-    #: forwarding-equivalent but not byte-identical to inline.
+    #: forwarding-equivalent but not byte-identical to one update per pass.
     coalesce: bool = False
     #: verify guarded commits *after* transaction.commit, overlapped
     #: with the next compilation (the pipelined update→install path)
@@ -224,7 +224,7 @@ class ControlPlaneRuntime:
 
         Re-entrant calls — a facet invoked *from inside* the loop (an
         apply body, a commit hook, the guard's release race) — execute
-        the apply body directly, exactly as inline mode would nest them.
+        the apply body directly, nested in the caller.
         """
         controller = self.controller
         if self._active:
@@ -423,7 +423,7 @@ class ControlPlaneRuntime:
                 continue
             # The event requested a compilation: this submission rides
             # the job, and the next event waits for the commit — compile
-            # points in event order are exactly the inline mode's.
+            # points in event order match one-call-at-a-time submission.
             job.submissions.append(submission)
             yield ("worked",)
             while not job.done:
@@ -496,7 +496,7 @@ class ControlPlaneRuntime:
             self._m_depth.set(len(self._verify_q), queue="verify")
             guard = self.controller.guard
             try:
-                guard.verify_snapshot(pending)
+                job.report.verified = guard.verify_snapshot(pending)
             except Exception as exc:  # noqa: BLE001 - surfaced from drain
                 if self._compiling:
                     self._abort_requested = True

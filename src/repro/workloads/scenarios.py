@@ -467,12 +467,8 @@ def replay(
 ) -> ReplayReport:
     """Drive a trace through a controller, sampling the verify oracle.
 
-    Bursts feed the controller's runtime when one is attached (the
-    event-loop ``pipelined()`` batch path, with per-event handles
-    re-raising any runtime error) and fall back to inline facet calls
-    otherwise — the same dual structure as the latency benchmark, so a
-    scenario replays identically under ``REPRO_RUNTIME=inline`` and
-    ``=eventloop``.
+    Each burst feeds the controller's runtime through one
+    ``pipelined()`` block; per-event handles re-raise any runtime error.
 
     Every ``verify_every`` bursts — and once more at the end — the
     PR-5 differential checker runs ``probes`` router-faithful packets
@@ -489,7 +485,7 @@ def replay(
     """
     import time as _time
 
-    runtime = getattr(controller, "runtime", None)
+    runtime = controller.runtime
     bursts = segment_bursts(updates, gap=burst_gap)
     commits_before = controller.ops.churn().commits
     events = 0
@@ -510,17 +506,11 @@ def replay(
         violations += len(report.violations)
 
     for index, burst in enumerate(bursts):
-        if runtime is not None:
-            with runtime.pipelined():
-                handles = [
-                    controller.routing.process_update(update) for update in burst
-                ]
-            for handle in handles:
-                if handle.error is not None:
-                    raise handle.error
-        else:
-            for update in burst:
-                controller.routing.process_update(update)
+        with runtime.pipelined():
+            handles = [controller.routing.process_update(update) for update in burst]
+        for handle in handles:
+            if handle.error is not None:
+                raise handle.error
         events += len(burst)
         if recompile_every and (index + 1) % recompile_every == 0:
             controller.compile()
@@ -602,8 +592,7 @@ def _main(argv=None):
     print(
         f"topology {provider.name}: {len(ixp.config)} members, "
         f"{sum(len(v) for v in ixp.announced.values())} prefixes; "
-        f"runtime={sdx.runtime_mode} vmac={sdx.vmac_mode} "
-        f"dataplane={sdx.dataplane_mode}"
+        f"vmac={sdx.vmac_mode} dataplane={sdx.dataplane_mode}"
     )
     failures = 0
     for kind in options.scenario or ["failover-storm"]:

@@ -55,7 +55,6 @@ def _controller(ixp, workload, vmac_mode, dataplane_mode):
         sdx=SDXConfig(
             vmac_mode=vmac_mode,
             dataplane_mode=dataplane_mode,
-            runtime_mode="eventloop",
             runtime_config=RuntimeConfig(coalesce=True),
             guard=GuardConfig(probe_budget=12, seed=3),
         ),

@@ -38,7 +38,6 @@ def metered_eventloop(runtime_config, *, rate=10.0, burst=20):
             backoff_factor=2.0,
             backoff_max=8.0,
         ),
-        runtime_mode="eventloop",
         runtime_config=runtime_config,
     )
     load_figure1_routes(controller)

@@ -42,7 +42,6 @@ def guarded_eventloop(base_seed: int, runtime_config=None) -> SDXController:
     controller = SDXController(
         make_figure1_config(),
         guard=GuardConfig(probe_budget=16, seed=base_seed),
-        runtime_mode="eventloop",
         runtime_config=runtime_config,
     )
     load_figure1_routes(controller)

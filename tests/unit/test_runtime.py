@@ -2,7 +2,7 @@
 
 Covers the building blocks (bounded queues, the deterministic
 cooperative scheduler, the timer wheel) and the runtime's caller-facing
-contract: auto-drain submissions return inline-identical results,
+contract: auto-drain submissions return the apply body's own result,
 ``pipelined()`` returns live handles, errors surface exactly once,
 backpressure raises :class:`QueueOverflow` at submission time, and the
 telemetry series (queue depth, task seconds, update→install latency)
@@ -23,7 +23,6 @@ from repro.runtime import (
     RuntimeConfig,
     Submission,
     TimerWheel,
-    runtime_mode_from_env,
 )
 from repro.sim.clock import Simulator
 
@@ -35,12 +34,7 @@ from tests.conftest import (
 
 
 def eventloop_figure1(config=None, **kwargs):
-    controller = SDXController(
-        make_figure1_config(),
-        runtime_mode="eventloop",
-        runtime_config=config,
-        **kwargs,
-    )
+    controller = SDXController(make_figure1_config(), runtime_config=config, **kwargs)
     load_figure1_routes(controller)
     return controller
 
@@ -257,10 +251,6 @@ class TestTelemetryAndHealth:
         assert info["inflight"] == 0
         assert info["ingress_peak"] >= 1  # the route load went through it
 
-    def test_inline_mode_health_field(self):
-        controller = SDXController(make_figure1_config(), runtime_mode="inline")
-        assert controller.ops.health().runtime == {"mode": "inline"}
-
     def test_runtime_metrics_exist(self):
         controller = eventloop_figure1()
         install_figure1_policies(controller)
@@ -271,25 +261,16 @@ class TestTelemetryAndHealth:
         latency = controller.telemetry.get("sdx_update_install_seconds")
         assert latency.count(kind="update") >= 9  # the figure-1 route load
 
-    def test_inline_mode_observes_install_latency_too(self):
-        controller = SDXController(make_figure1_config(), runtime_mode="inline")
-        load_figure1_routes(controller)
-        latency = controller.telemetry.get("sdx_update_install_seconds")
-        assert latency.count(kind="update") >= 9
-
 
 class TestModeSelection:
-    def test_env_default_and_parse(self):
-        assert runtime_mode_from_env({}) == "inline"
-        assert runtime_mode_from_env({"REPRO_RUNTIME": "eventloop"}) == "eventloop"
-        assert runtime_mode_from_env({"REPRO_RUNTIME": " INLINE "}) == "inline"
-        with pytest.raises(ValueError):
-            runtime_mode_from_env({"REPRO_RUNTIME": "threads"})
-
     def test_controller_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="runtime_mode"):
             SDXController(make_figure1_config(), runtime_mode="fibers")
+        with pytest.raises(ValueError, match="runtime_mode='inline'"):
+            SDXController(make_figure1_config(), runtime_mode="inline")
 
-    def test_inline_mode_has_no_runtime(self):
-        controller = SDXController(make_figure1_config(), runtime_mode="inline")
-        assert controller.runtime is None
+    def test_every_controller_has_a_runtime(self):
+        default = SDXController(make_figure1_config())
+        explicit = SDXController(make_figure1_config(), runtime_mode="eventloop")
+        assert default.runtime is not None and explicit.runtime is not None
+        assert default.sdx.runtime_mode == explicit.sdx.runtime_mode == "eventloop"

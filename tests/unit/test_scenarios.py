@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import SDXConfig
 from repro.core.controller import SDXController
 from repro.guard import GuardConfig
-from repro.runtime import RuntimeConfig
 from repro.workloads.providers import load_fixture
 from repro.workloads.scenarios import (
     SCENARIO_KINDS,
@@ -191,24 +190,15 @@ class TestSegmentBursts:
 
 
 class TestReplay:
-    def _controller(self, ixp, runtime_mode="inline", coalesce=True):
+    def _controller(self, ixp):
         controller = SDXController(
-            ixp.config,
-            sdx=SDXConfig(
-                runtime_mode=runtime_mode,
-                runtime_config=(
-                    RuntimeConfig(coalesce=coalesce)
-                    if runtime_mode == "eventloop"
-                    else None
-                ),
-                guard=GuardConfig(probe_budget=8, seed=1),
-            ),
+            ixp.config, sdx=SDXConfig(guard=GuardConfig(probe_budget=8, seed=1))
         )
         controller.route_server.load(ixp.updates)
         controller.compile()
         return controller
 
-    def test_inline_replay_is_clean(self, small_ixp):
+    def test_replay_is_clean(self, small_ixp):
         trace = build_scenario_trace(
             small_ixp, ScenarioSpec("t", "stuck-routes", seed=4)
         )
@@ -235,20 +225,3 @@ class TestReplay:
         )
         assert report.ok
         assert report.commits >= report.bursts // 2
-
-    def test_eventloop_replay_matches_inline(self, small_ixp):
-        trace = build_scenario_trace(
-            small_ixp, ScenarioSpec("t", "correlated-withdrawal", seed=2)
-        )
-        inline = self._controller(small_ixp)
-        # Burst coalescing is only forwarding-equivalent; byte-identity
-        # of the flow tables is guaranteed with it off.
-        eventloop = self._controller(
-            small_ixp, runtime_mode="eventloop", coalesce=False
-        )
-        replay(inline, trace.updates, verify_every=0, recompile_every=3)
-        replay(eventloop, trace.updates, verify_every=0, recompile_every=3)
-        assert (
-            inline.switch.table.content_hash()
-            == eventloop.switch.table.content_hash()
-        )

@@ -22,7 +22,6 @@ def make_config() -> IXPConfig:
 CHOICE_KNOBS = [
     ("vmac_mode", "REPRO_VMAC", "fec", "superset"),
     ("dataplane_mode", "REPRO_DATAPLANE", "single", "multitable"),
-    ("runtime_mode", "REPRO_RUNTIME", "inline", "eventloop"),
 ]
 
 
@@ -119,9 +118,7 @@ class TestResolutionMechanics:
         assert again == once
 
     def test_from_env_snapshot(self):
-        snapshot = SDXConfig.from_env(
-            {"REPRO_VMAC": "superset", "REPRO_RUNTIME": "eventloop"}
-        )
+        snapshot = SDXConfig.from_env({"REPRO_VMAC": "superset"})
         assert snapshot.vmac_mode == "superset"
         assert snapshot.runtime_mode == "eventloop"
         assert snapshot.dataplane_mode == "single"
@@ -135,8 +132,14 @@ class TestResolutionMechanics:
     def test_env_defaults_come_from_the_registry(self):
         resolved = SDXConfig.from_env({})
         for knob in KNOBS:
-            if knob.env is not None:
-                assert getattr(resolved, knob.field) == knob.default, knob.field
+            assert getattr(resolved, knob.field) == knob.default, knob.field
+
+    def test_runtime_mode_has_one_value_and_no_env_form(self):
+        assert SDXConfig().resolved(env={"REPRO_RUNTIME": "inline"}).runtime_mode == (
+            "eventloop"
+        )
+        with pytest.raises(ValueError, match="expected one of eventloop"):
+            SDXConfig(runtime_mode="inline")
 
     def test_registry_covers_every_field(self):
         fields = {field.name for field in dataclasses.fields(SDXConfig)}
