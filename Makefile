@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test property integration chaos bench bench-guard guard-gate bench-compile compile-gate bench-churn churn-gate churn-replay bench-federation bench-loop experiments quick examples metrics verify-fuzz clean
+.PHONY: install test property integration chaos bench bench-guard guard-gate bench-compile compile-gate bench-churn churn-gate churn-replay bench-federation bench-loop bench-smoke experiments quick examples metrics verify-fuzz clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -52,6 +52,18 @@ churn-replay:
 # names them): make bench-loop WORKLOAD=policy-dense
 bench-loop:
 	python3 bench/run.py --workload $(WORKLOAD)
+
+# A two-second untraced pass of every benchmark workload; fails unless
+# the harness's oracle reports the pass correct (last line's JSON).
+BENCH_WORKLOADS = cold-amsix policy-dense churn-fastpath churn-recompile
+bench-smoke:
+	@for workload in $(BENCH_WORKLOADS); do \
+		echo "== $$workload =="; \
+		out=$$(python3 bench/run.py --workload $$workload --seconds 2 --trace 0) || exit 1; \
+		echo "$$out" | tail -n 3; \
+		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
+			|| { echo "bench-smoke: $$workload is not correct"; exit 1; }; \
+	done
 
 experiments:
 	$(PYTHON) -m repro.experiments all

@@ -76,6 +76,7 @@ from repro.dataplane.switch import SDNSwitch
 from repro.ixp.topology import IXPConfig
 from repro.netutils.ip import IPv4Address, IPv4Prefix
 from repro.pipeline import CompilationPipeline
+from repro.pipeline.events import PolicyChanged
 from repro.pipeline.stages import BASE_COOKIE, BASE_PRIORITY
 from repro.policy.classifier import Action, Classifier, HeaderMatch, Rule
 from repro.policy.packet import Packet
@@ -264,6 +265,9 @@ class SDXController:
 
         #: the staged compilation engine (shard cache, ingress, committer)
         self.pipeline = CompilationPipeline(self)
+        self.pipeline.bus.subscribe(
+            PolicyChanged, lambda event: self.fast_path.policies_changed(event.participant)
+        )
         self._deferred_depth = 0
         self._deferred_pending = False
 
@@ -397,17 +401,28 @@ class SDXController:
         result is re-reconciled transactionally, which the delta engine
         recognises as a no-op patch — every installed rule is retained
         and per-segment traffic counters keep accumulating.  Otherwise
-        this is a full :meth:`compile`.  Either way the commit's
-        :class:`CommitReport` is returned.
+        this is a full :meth:`compile`.
+
+        It is submitted like :meth:`compile` and returns what that
+        returns (a :class:`CommitReport`, or the submission handle
+        inside ``runtime.pipelined()``).  The no-op decision is taken
+        when the runtime reaches the job, after every submission queued
+        before it has been applied.
         """
-        if (
+        if not self.runtime.active:
+            return self.runtime.submit_compile(background=True)
+        if self._recompile_is_noop():
+            self.pipeline.count_noop()
+            return self._install(self._last_result)
+        return self._install(self.pipeline.compile())
+
+    def _recompile_is_noop(self) -> bool:
+        """True when a recompilation would reproduce the installed table."""
+        return (
             self._last_result is not None
             and self.pipeline.idle
             and not self.fast_path.active_prefixes
-        ):
-            self.pipeline.count_noop()
-            return self._install(self._last_result)
-        return self.compile()
+        )
 
     @property
     def last_compilation(self) -> Optional[CompilationResult]:

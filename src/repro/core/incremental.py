@@ -13,6 +13,12 @@ while the *background* stage periodically reruns the full compilation,
 swapping in a minimal table and flushing the fast-path rules.  The
 price of the fast path is extra rules in the switch — exactly what the
 paper's Figure 9 counts — and its speed is what Figure 10 measures.
+
+One deliberate deviation: a prefix no policy can reach gets no VNH and
+no block.  Its traffic is plain default forwarding by real MAC, which
+the base table already does, so the prefix is re-advertised with its
+best route's real next-hop instead (iSDX's ``prefix_2_VNH`` likewise
+holds policy-affected prefixes only).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -47,10 +54,11 @@ from repro.core.transforms import (
 from repro.core.vmac import VirtualNextHop
 from repro.dataplane.flowtable import FlowRule
 from repro.dataplane.reconcile import is_base_cookie
+from repro.ixp.topology import ParticipantSpec
 from repro.netutils.ip import IPv4Prefix
 from repro.netutils.mac import MACMask
 from repro.policy.analysis import with_fallback
-from repro.policy.classifier import Classifier, Rule, sequence_rule
+from repro.policy.classifier import Action, Classifier, Rule, sequence_rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.controller import SDXController
@@ -79,6 +87,13 @@ class FastPathEngine:
         self._vnhs: Dict[IPv4Prefix, VirtualNextHop] = {}  # prefix -> its VNH
         self._sequence = 0
         self._extra_rules = 0  # running count of installed fast-path rules
+        #: participants holding an outbound policy, kept on policy edits;
+        #: only these can steer a prefix off its BGP default
+        self._holder_names: Set[str] = set()
+        #: (spec, raw outbound classifier) per holder in configuration
+        #: order; rebuilt lazily after an edit
+        self._holders: Optional[List[Tuple[ParticipantSpec, Classifier]]] = None
+        self._position: Dict[str, int] = {}  # participant -> config order
         telemetry = getattr(controller, "telemetry", None)
         self._m_seconds = self._m_rules = self._m_updates = None
         self._m_extra = self._m_prefixes = None
@@ -161,10 +176,14 @@ class FastPathEngine:
     ) -> FastPathUpdate:
         """Recompile a single prefix's slice of the SDX policy.
 
-        Allocates a fresh VNH unconditionally (the paper's shortcut),
-        builds the prefix-restricted two-stage policy, installs it above
-        the base table, and pushes the re-advertisement so that border
-        routers start tagging traffic with the new VMAC.
+        When policy can reach the prefix, allocates a fresh VNH (the
+        paper's shortcut), builds the prefix-restricted two-stage
+        policy, installs it above the base table, and pushes the
+        re-advertisement so that border routers start tagging traffic
+        with the new VMAC.  Otherwise the prefix is *unaffected*: it is
+        re-advertised with its best route's real next-hop and nothing
+        is installed, because the base table's default forwarding by
+        real MAC already serves it.
         """
         controller = self._controller
         started = self._now()
@@ -176,11 +195,21 @@ class FastPathEngine:
             # Prefix fully withdrawn: routers lose the route; nothing to install.
             controller.readvertise_prefix(prefix, None)
             elapsed = self._now() - started
-            self._observe(elapsed, 0, installed=False)
+            self._observe(elapsed, 0, "withdrawn")
+            return FastPathUpdate(prefix, None, 0, elapsed)
+        fragments = self._policy_fragments(prefix)
+        if not fragments and not self._always_reached(prefix, ranked):
+            # Burn the VMAC a fresh VNH would have taken, so the MAC
+            # sequence -- and every VMAC a later compile assigns -- stays
+            # one draw per fast-path update, as with a VNH per update.
+            controller.allocator.mac_source().allocate()
+            controller.readvertise_prefix(prefix, None)
+            elapsed = self._now() - started
+            self._observe(elapsed, 0, "unaffected")
             return FastPathUpdate(prefix, None, 0, elapsed)
         vnh = controller.allocator.allocate()
         group = PrefixGroup(-1, frozenset((prefix,)), vnh)
-        classifier = self._compile_prefix(prefix, group, ranked)
+        classifier = self._compile_prefix(group, ranked, fragments)
         self._sequence += 1
         cookie = ("fastpath", str(prefix), self._sequence)
         controller.switch.table.install_classifier(
@@ -193,7 +222,7 @@ class FastPathEngine:
         self._extra_rules += len(classifier)
         controller.readvertise_prefix(prefix, vnh.address)
         elapsed = self._now() - started
-        self._observe(elapsed, len(classifier), installed=True)
+        self._observe(elapsed, len(classifier), "installed")
         return FastPathUpdate(prefix, vnh, len(classifier), elapsed)
 
     def prune_stale_delivery(self, prefixes: Any) -> int:
@@ -299,13 +328,13 @@ class FastPathEngine:
             self._m_updates.inc(len(removals), outcome="pruned")
         return len(removals)
 
-    def _observe(self, seconds: float, rules: int, installed: bool) -> None:
+    def _observe(self, seconds: float, rules: int, outcome: str) -> None:
         self._sync_gauges()
         if self._m_seconds is None:
             return
         self._m_seconds.observe(seconds)
         self._m_rules.observe(rules)
-        self._m_updates.inc(outcome="installed" if installed else "withdrawn")
+        self._m_updates.inc(outcome=outcome)
 
     def flush(self) -> int:
         """Drop every fast-path block (after a background recompilation).
@@ -355,52 +384,121 @@ class FastPathEngine:
         self._extra_rules = extra_rules
         self._sync_gauges()
 
-    # -- prefix-restricted compilation ------------------------------------------
+    # -- policy reachability -------------------------------------------------
 
-    def _compile_prefix(
-        self, prefix: IPv4Prefix, group: PrefixGroup, ranked: Tuple[Route, ...]
-    ) -> Classifier:
-        """The mini SDX classifier handling exactly this prefix's VMAC."""
+    def policies_changed(self, name: str) -> None:
+        """Track ``name``'s outbound policy after an edit (O(holders))."""
+        controller = self._controller
+        policy_set = controller._policies.get(name)
+        if (
+            policy_set is not None
+            and policy_set.outbound is not None
+            and not controller.config.participant(name).is_remote
+        ):
+            self._holder_names.add(name)
+        else:
+            self._holder_names.discard(name)
+        self._holders = None
+
+    def _outbound_holders(self) -> List[Tuple[ParticipantSpec, Classifier]]:
+        if self._holders is None:
+            controller = self._controller
+            config = controller.config
+            if not self._holder_names.issubset(self._position):
+                self._position = {
+                    name: index for index, name in enumerate(config.participant_names())
+                }
+            self._holders = [
+                (config.participant(name), controller.raw_outbound_classifier(name))
+                for name in sorted(self._holder_names, key=self._position.__getitem__)
+            ]
+        return self._holders
+
+    def _policy_fragments(
+        self, prefix: IPv4Prefix
+    ) -> List[Tuple[ParticipantSpec, List[Tuple[Rule, List[Action]]]]]:
+        """Each holder's outbound rules that can steer traffic to ``prefix``.
+
+        A rule qualifies when it forwards, its ``dstip`` (if any)
+        overlaps the prefix, and at least one target is usable:
+        participant targets require BGP feasibility for the sender;
+        chain and physical-port targets pass through, mirroring
+        vmacify_outbound's treatment.  Each rule comes with its usable
+        targets.
+        """
         controller = self._controller
         config = controller.config
-        vmac = group.vnh.hardware
-
-        # Stage 1: participant policy fragments mentioning this prefix,
-        # then the per-group default rules.
-        stage1_rules: List[Rule] = []
-        participant_names = frozenset(config.participant_names())
-        for participant in config.participants():
-            if participant.is_remote:
-                continue
-            raw = controller.raw_outbound_classifier(participant.name)
-            if raw is None:
-                continue
-            loc_rib = controller.route_server.loc_rib(participant.name)
-            feasible = loc_rib.feasible_next_hops(prefix)
-            fragment: List[Rule] = []
+        out = []
+        for participant, raw in self._outbound_holders():
+            feasible = None
+            fragment = []
             for rule in raw.rules:
                 if rule.is_drop:
                     continue
                 constraint = rule.match.constraint("dstip")
                 if constraint is not None and not constraint.overlaps(prefix):
                     continue
-                # Participant targets require BGP feasibility; chain and
-                # physical-port targets pass through, mirroring
-                # vmacify_outbound's treatment.
+                if feasible is None:
+                    feasible = controller.route_server.loc_rib(
+                        participant.name
+                    ).feasible_next_hops(prefix)
                 targets = [
                     action
                     for action in rule.actions
                     if (
                         action.output_port in feasible
-                        if action.output_port in participant_names
+                        if action.output_port in config
                         else action.output_port is not None
                     )
                 ]
-                if not targets:
-                    continue
+                if targets:
+                    fragment.append((rule, targets))
+            if fragment:
+                out.append((participant, fragment))
+        return out
+
+    def _always_reached(self, prefix: IPv4Prefix, ranked: Tuple[Route, ...]) -> bool:
+        """Conditions that need a block even without a reaching rule.
+
+        An SDX-originated prefix is always policy-affected in the full
+        compile; a remote announcer has no port, so only its inbound
+        policy in a per-prefix block delivers the traffic.  A registered
+        chain keeps every update on a per-prefix block with its own
+        continuation rules; this is conservative, since the base
+        table's continuation rules match the hop port alone.
+        """
+        controller = self._controller
+        if controller._chains:
+            return True
+        if any(prefix in owned for owned in controller._originated.values()):
+            return True
+        config = controller.config
+        return any(config.participant(route.learned_from).is_remote for route in ranked)
+
+    # -- prefix-restricted compilation ------------------------------------------
+
+    def _compile_prefix(
+        self,
+        group: PrefixGroup,
+        ranked: Tuple[Route, ...],
+        fragments: List[Tuple[ParticipantSpec, List[Tuple[Rule, List[Action]]]]],
+    ) -> Classifier:
+        """The mini SDX classifier handling exactly this prefix's VMAC."""
+        controller = self._controller
+        config = controller.config
+        (prefix,) = group.prefixes
+        vmac = group.vnh.hardware
+
+        # Stage 1: participant policy fragments mentioning this prefix,
+        # then the per-group default rules.
+        stage1_rules: List[Rule] = []
+        for participant, reaching in fragments:
+            fragment: List[Rule] = []
+            for rule, targets in reaching:
                 scoped = rule.match.without("dstip").restrict("dstmac", vmac)
                 if scoped is None:
                     continue
+                constraint = rule.match.constraint("dstip")
                 if constraint is not None and not constraint.contains(prefix):
                     narrowed = scoped.restrict("dstip", constraint)
                     if narrowed is None:

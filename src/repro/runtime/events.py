@@ -192,12 +192,21 @@ class CompileEvent(_Event):
 
     ``apply`` only *requests* the compile job — the runtime's compile
     and commit tasks do the work — and the submission's result is the
-    job's :class:`~repro.dataplane.reconcile.CommitReport`.
+    job's :class:`~repro.dataplane.reconcile.CommitReport`.  A
+    ``background`` job (``run_background_recompilation``) re-commits
+    the last result instead when nothing is dirty by the time the
+    compile task reaches it.
     """
 
     kind = "compile"
     returns_report = True
 
+    def __init__(self, background: bool = False) -> None:
+        self.background = background
+
     def apply(self, controller):
-        controller.runtime.request_compile()
+        controller.runtime.request_compile(background=self.background)
         return None
+
+    def __repr__(self) -> str:
+        return f"CompileEvent(background={self.background})"

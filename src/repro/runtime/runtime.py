@@ -88,12 +88,20 @@ class RuntimeConfig(NamedTuple):
     sim_time: bool = False
 
 
+def _reuse(result):
+    """A compile-step generator that yields nothing and returns ``result``."""
+    return result
+    yield  # pragma: no cover - makes this a generator
+
+
 class CompileJob:
     """One requested compilation: from dirty state to committed report."""
 
-    __slots__ = ("submissions", "report", "error", "done")
+    __slots__ = ("submissions", "report", "error", "done", "background")
 
-    def __init__(self) -> None:
+    def __init__(self, background: bool = False) -> None:
+        #: re-commit the last result if nothing is dirty when it runs
+        self.background = background
         self.submissions: List[Submission] = []
         self.report = None
         self.error: Optional[BaseException] = None
@@ -216,8 +224,8 @@ class ControlPlaneRuntime:
     def submit_release_quarantine(self, name, recompile=True):
         return self._submit(ReleaseQuarantineEvent(name, recompile=recompile))
 
-    def submit_compile(self):
-        return self._submit(CompileEvent())
+    def submit_compile(self, background: bool = False):
+        return self._submit(CompileEvent(background))
 
     def _submit(self, event):
         """Enqueue an event; auto-drain unless inside ``pipelined()``.
@@ -239,11 +247,11 @@ class ControlPlaneRuntime:
             raise submission.error
         return submission.result
 
-    def request_compile(self) -> CompileJob:
+    def request_compile(self, background: bool = False) -> CompileJob:
         """Queue a compilation job (called via ``_maybe_compile`` during
         an apply body); the requesting submission is attached by the
         ingress task and completes when the job commits."""
-        job = CompileJob()
+        job = CompileJob(background)
         self._compile_q.append(job)
         self._m_depth.set(len(self._compile_q), queue="compile")
         self._requested_job = job
@@ -449,7 +457,13 @@ class ControlPlaneRuntime:
             job = self._compile_q[0]
             self._compiling = True
             self._abort_requested = False
-            steps = controller.pipeline.compile_steps()
+            if job.background and controller._recompile_is_noop():
+                # Decided here, not at submission: updates queued ahead
+                # of the job have been applied by now.
+                controller.pipeline.count_noop()
+                steps = _reuse(controller.last_compilation)
+            else:
+                steps = controller.pipeline.compile_steps()
             result = None
             error: Optional[BaseException] = None
             aborted = False

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp.attributes import RouteAttributes
 from repro.core.incremental import FASTPATH_BASE_PRIORITY
-from repro.netutils.ip import IPv4Prefix
+from repro.netutils.ip import IPv4Address, IPv4Prefix
 from repro.policy import Packet
 
 from tests.conftest import P1, P2, P3, P4, P5
@@ -167,6 +167,62 @@ class TestFastPath:
         # HTTP diverts to B (still feasible via B) and B's inbound TE sends
         # srcip 200.x (128/1) to port B2.
         assert len(out) == 1 and out[0][0] == "B2"
+
+
+class TestUnreachedPrefix:
+    """A prefix no outbound rule can reach gets no VNH and no block.
+
+    In Figure 1 only A holds an outbound policy, forwarding to B and C;
+    p5 is announced by A alone, so neither target is BGP-feasible for
+    it and its traffic is plain default forwarding by real MAC, which
+    the base table already does.
+    """
+
+    @staticmethod
+    def _outcomes(controller, outcome):
+        return controller.telemetry.get("sdx_fastpath_updates_total").value(
+            outcome=outcome
+        )
+
+    def test_update_installs_nothing_and_advertises_the_real_next_hop(
+        self, figure1_compiled
+    ):
+        controller = figure1_compiled
+        macs = controller.allocator.mac_source()
+        rules, allocated, drawn = (
+            controller.table_size(),
+            controller.allocator.allocated,
+            macs.allocated,
+        )
+        unaffected = self._outcomes(controller, "unaffected")
+        controller.routing.announce(
+            "A", P5, RouteAttributes(as_path=[65001], next_hop="172.0.0.1")
+        )
+        (entry,) = controller.ops.fast_path_log
+        assert entry.rules_installed == 0 and entry.vnh is None
+        assert controller.table_size() == rules
+        assert not controller.fast_path.active_prefixes
+        assert controller.advertised_next_hop("B", IPv4Prefix(P5)) == IPv4Address(
+            "172.0.0.1"
+        )
+        assert controller.allocator.allocated == allocated
+        # one VMAC is still drawn, so later compiles assign the same VMACs
+        assert macs.allocated == drawn + 1
+        assert self._outcomes(controller, "unaffected") == unaffected + 1
+
+    def test_reached_prefix_still_installs_a_block(self, figure1_compiled):
+        controller = figure1_compiled
+        controller.routing.announce(
+            "A", P5, RouteAttributes(as_path=[65001], next_hop="172.0.0.1")
+        )
+        controller.routing.announce(
+            "C", P1, RouteAttributes(as_path=[65003, 65100], next_hop="172.0.0.21")
+        )
+        entry = controller.ops.fast_path_log[-1]
+        assert str(entry.prefix) == P1
+        assert entry.vnh is not None and entry.rules_installed > 0
+        assert controller.fast_path.active_prefixes == {IPv4Prefix(P1)}
+        assert controller.advertised_next_hop("B", IPv4Prefix(P1)) == entry.vnh.address
 
 
 class TestStaleDeliveryPruning:

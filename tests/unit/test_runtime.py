@@ -16,6 +16,7 @@ import pytest
 from repro.bgp.attributes import RouteAttributes
 from repro.core.controller import SDXController
 from repro.dataplane.reconcile import CommitReport
+from repro.netutils.ip import IPv4Prefix
 from repro.runtime import (
     BoundedQueue,
     CooperativeScheduler,
@@ -181,6 +182,37 @@ class TestPipelinedBursts:
             good = controller.routing.announce("B", "99.0.0.0/24", attrs)
         assert bad.error is not None
         assert good.error is None and good.result
+
+    def test_background_recompilation_queues_behind_the_burst(self):
+        controller = eventloop_figure1()
+        install_figure1_policies(controller)
+        new_prefix = IPv4Prefix("10.6.0.0/16")
+        attrs = RouteAttributes(as_path=[65003], next_hop="172.0.0.21")
+        with controller.runtime.pipelined():
+            announced = controller.routing.announce("C", str(new_prefix), attrs)
+            recompiled = controller.run_background_recompilation()
+            # like compile(): a handle inside the burst, nothing committed yet
+            assert isinstance(recompiled, Submission) and not recompiled.done
+        assert announced.done and recompiled.done
+        assert isinstance(recompiled.result, CommitReport)
+        # the commit was compiled after the announcement had been applied
+        affected = {
+            prefix
+            for group in controller.last_compilation.fec_table.affected_groups
+            for prefix in group.prefixes
+        }
+        assert new_prefix in affected
+        assert not controller.fast_path.active_prefixes
+
+    def test_idle_background_recompilation_is_a_noop_commit(self):
+        controller = eventloop_figure1()
+        install_figure1_policies(controller)
+        noops = controller.telemetry.get("sdx_pipeline_noop_total")
+        before = noops.total()
+        report = controller.run_background_recompilation()
+        assert isinstance(report, CommitReport)
+        assert report.added == report.removed == 0
+        assert noops.total() == before + 1
 
     def test_dirty_exit_leaves_queue_and_discard_clears_it(self):
         controller = eventloop_figure1()
